@@ -36,8 +36,6 @@ class RunConfig:
 
     tail_mass: float = 1e-12
     n: int = 4001
-    tol: float = 1e-10
-    max_iter: int = 10000
     solver_margin: float = 0.01
     out: str | None = None
     format: str = "json"
@@ -108,8 +106,6 @@ def _add_common(p: argparse.ArgumentParser, measure: bool = True) -> None:
                        help="measure name or JSON descriptor")
     p.add_argument("--grid-n", type=int, default=4001, dest="grid_n")
     p.add_argument("--tail-mass", type=float, default=1e-12, dest="tail_mass")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
     p.add_argument("--solver-margin", type=float, default=0.01,
                    dest="solver_margin")
     p.add_argument("--out", default=None, help="artifact file path")
@@ -117,9 +113,9 @@ def _add_common(p: argparse.ArgumentParser, measure: bool = True) -> None:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(tail_mass=args.tail_mass, n=args.grid_n, tol=args.tol,
-                     max_iter=args.max_iter, solver_margin=args.solver_margin,
-                     out=args.out, format=args.format)
+    return RunConfig(tail_mass=args.tail_mass, n=args.grid_n,
+                     solver_margin=args.solver_margin, out=args.out,
+                     format=args.format)
 
 
 def _measure(args: argparse.Namespace) -> MeasureSpec:

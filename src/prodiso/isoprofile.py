@@ -11,12 +11,10 @@ the central limit theorem.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from .errors import DomainError, GridTooNarrow, NotLogConcave
@@ -45,6 +43,8 @@ def profile_1d(m: MeasureSpec, t: float) -> float:
 
 def compute_c_maximizer() -> float:
     """Argmax of (1 - e^{-2u}) / (2 sqrt(u)), from its first-order condition."""
+    from scipy.optimize import brentq  # slow to import; needed only here
+
     def foc(u: float) -> float:
         e = math.exp(-2.0 * u)
         return 4.0 * u * e - 1.0 + e
@@ -126,9 +126,6 @@ class ProfileBounds:
         for row in zip(self.ts, self.one_dim, self.lower, self.upper):
             buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
         return buf.getvalue()
-
-    def to_json_sidecar(self) -> str:
-        return json.dumps({"clt_trace": list(self.clt_trace)})
 
 
 def profile_envelope(m: MeasureSpec, t_grid,

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 from scipy.special import ndtr, ndtri
 
@@ -271,10 +270,6 @@ class MeasureSpec:
         out = np.exp(psi - self._log_norm)
         return float(out) if np.ndim(x) == 0 else out
 
-    def second_log_derivative(self, x) -> np.ndarray:
-        """psi'' alone, with the same kink checks as log_density."""
-        return self.log_density(x)[2] if np.ndim(x) == 0 else self.log_density(x)[2]
-
     # -- cdf / quantile -----------------------------------------------
 
     def cdf(self, x: float) -> float:
@@ -301,6 +296,8 @@ class MeasureSpec:
             return float(self.sigma * ndtri(prob))
         if self.kind == "exponential":
             return math.log(2.0 * prob) if prob <= 0.5 else -math.log(2.0 * (1.0 - prob))
+        from scipy.optimize import brentq  # slow to import; needed only here
+
         b = self._raw_truncation(min(prob, 1.0 - prob, 1e-6) * 1e-3)
         return float(brentq(lambda x: self.cdf(x) - prob, -b, b, xtol=1e-12))
 

@@ -63,8 +63,7 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
 class Grid:
     """Uniform grid on [a, b] with an odd number of nodes.
 
-    Oddness guarantees that 0 is a node whenever the grid is symmetric,
-    which parity-restricted solvers rely on.
+    Oddness guarantees that 0 is a node whenever the grid is symmetric.
     """
 
     a: float

@@ -189,7 +189,7 @@ def eigen_curves(bump: BumpFunction, eps: float,
 
     # a(eps) = - min Rayleigh of (stiffness - Theta-mass) against plain mass
     prob = assemble(nu, nu, grid, shift=-1.0, shift_mass_weight=theta * nu)
-    a_val = -float(solve_smallest(prob, k=1, want_vector=False).eigenvalues[0])
+    a_val = -float(solve_smallest(prob).eigenvalues[0])
     return float(lam), float(k_val), float(a_val)
 
 
@@ -197,9 +197,12 @@ def finite_diff_validate(bump: BumpFunction,
                          eps_list=(0.01, 0.02)) -> PerturbationReport:
     """Compare analytic slopes with finite differences of the eigen curves.
 
-    Central differences at each magnitude in ``eps_list``, Richardson
-    combined when two magnitudes are given; also checks the unperturbed
-    baselines lambda(0) = k(0) = a(0) = 1.
+    Central differences at each magnitude in ``eps_list``; with two or more
+    magnitudes the two smallest, e1 < e2, are Richardson combined.  The
+    central difference errs by C e^2 + O(e^4), so with r = e2 / e1 the
+    combination (r^2 d1 - d2) / (r^2 - 1) cancels the e^2 term for any
+    ratio.  Also checks the unperturbed baselines
+    lambda(0) = k(0) = a(0) = 1.
     """
     _require_even(bump)
     slopes = perturbation_slopes(bump)
@@ -214,9 +217,8 @@ def finite_diff_validate(bump: BumpFunction,
         lo = np.array(eigen_curves(bump, -e))
         diffs.append((hi - lo) / (2.0 * e))
     if len(diffs) >= 2:
-        # O(eps^2) Richardson on the two smallest magnitudes (ratio 2)
-        d1, d2 = diffs[0], diffs[1]
-        fd = (4.0 * d1 - d2) / 3.0
+        r2 = (mags[1] / mags[0]) ** 2
+        fd = (r2 * diffs[0] - diffs[1]) / (r2 - 1.0)
     else:
         fd = diffs[0]
     feasible = slopes[1] >= _FEASIBILITY_SLACK and \

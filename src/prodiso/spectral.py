@@ -1,9 +1,13 @@
 """Sturm-Liouville discretization and eigensolving.
 
 Discretizes weighted Rayleigh quotients  inf  (int w u'^2) / (int m u^2)
-by a finite-volume scheme with Neumann boundary, and solves the resulting
-symmetric tridiagonal generalized eigenproblems, optionally restricted to a
-linear-constraint subspace (zero weighted mean) or to odd-parity vectors.
+by a finite-volume scheme with Neumann boundary.  One certified solver
+handles every resulting 1-D pencil, shifted or restricted to a single
+linear constraint (zero weighted mean): shift-invert iteration with
+tridiagonal LAPACK solves, the constraint eliminated by the Schur
+complement, and an LDL^T inertia count that certifies the eigenvalue as
+the smallest admissible one.  The spectral gap, whose mass equals its
+stiffness weight, keeps LAPACK bisection on the mass-scaled matrix.
 
 Also hosts the weighted-tensorization condition checks, a Brascamp-Lieb
 residual evaluator, and a dense 2-D product-grid oracle that cross-checks
@@ -17,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dstebz
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -54,7 +59,6 @@ class EigenProblem:
     off: np.ndarray
     mass_diag: np.ndarray
     constraints: tuple[np.ndarray, ...] = ()
-    shift: float = 0.0
 
     @property
     def n(self) -> int:
@@ -66,30 +70,20 @@ class EigenProblem:
         out[1:] += self.off * u[:-1]
         return out
 
-    def stiffness_banded(self, sigma: float) -> np.ndarray:
-        """(A - sigma*M) in solve_banded layout."""
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = self.off
-        ab[1] = self.diag - sigma * self.mass_diag
-        ab[2, :-1] = self.off
-        return ab
-
 
 @dataclass(frozen=True)
 class EigenResult:
+    """Smallest admissible eigenvalue of a pencil, with its certificate:
+    an inertia count found no admissible eigenvalue below ``lower_bound``,
+    so it lies in [lower_bound, eigenvalues[0]], whose upper end is the
+    Rayleigh quotient of ``eigenvector``.  ``solves`` counts the solves."""
+
     eigenvalues: np.ndarray
     residual_norms: np.ndarray
     eigenvector: np.ndarray | None = None
     grid: Grid | None = None
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "residuals": [float(r) for r in self.residual_norms],
-        }
-        if self.grid is not None:
-            d["grid"] = {"a": self.grid.a, "b": self.grid.b, "n": self.grid.n}
-        return d
+    lower_bound: float = -math.inf
+    solves: int = 0
 
 
 def assemble(stiffness_weight, mass_weight, grid: Grid,
@@ -126,110 +120,186 @@ def assemble(stiffness_weight, mass_weight, grid: Grid,
                                                             dtype=float)
         diag = diag + shift * sm * trap
     return EigenProblem(grid=grid, diag=diag, off=off, mass_diag=mass,
-                        constraints=constraints, shift=shift)
+                        constraints=constraints)
 
 
 # ---------------------------------------------------------------------------
-# solvers
+# certified shift-invert solver
 # ---------------------------------------------------------------------------
 
-def _odd_projector(n: int):
-    def proj(u: np.ndarray) -> np.ndarray:
-        return 0.5 * (u - u[::-1])
-    return proj
+_EPS = float(np.finfo(float).eps)
+_CONVERGED = 1e-13    # Rayleigh-quotient step ending the iteration, relative
+_CERTIFIED = 1e-9     # certificate shift below the eigenvalue, relative
+_ROUNDING = 64.0      # eps * |y|^T |A| |y| multiples treated as rounding noise
+_GUARD = 10.0         # a new shift sits this many last steps below rho
+_RESHIFT = 0.5        # ... and must halve the distance from shift to rho
+_FAST = 1e-2          # step ratio below which the shift is left alone
+_START_GAP = 1e-10    # first shift below the diagonal bound, relative
+_MAX_SOLVES = 200
 
 
-def _constraint_is_mass_mean(problem: EigenProblem) -> bool:
-    """True when the single constraint is the mass-measure mean (so the
-    constrained minimum is exactly the second unconstrained eigenvalue)."""
-    if len(problem.constraints) != 1 or problem.shift:
-        return False
-    c = problem.constraints[0]
-    m = problem.mass_diag
-    if np.any(m <= 0):
-        return False
-    ratio = c / m
-    return bool(np.allclose(ratio, ratio[0], rtol=1e-10, atol=0.0))
+def _negative_pivots(diag: np.ndarray, off: np.ndarray) -> int:
+    """Nonpositive eigenvalues of a symmetric tridiagonal matrix: dstebz's
+    Sturm count of negative LDL^T pivots (Barth, Martin and Wilkinson 1967)
+    between a Gershgorin bound and 0, stopped there by its tolerance."""
+    low = float(np.min(diag)) - 2.0 * float(np.max(np.abs(off))) - 1.0
+    return int(dstebz(diag, off, 1, low, 0.0, 0, 0, -low, b"B")[0])
 
 
-def _residual_norm(problem: EigenProblem, lam: float, u: np.ndarray) -> float:
-    au = problem.apply_stiffness(u)
-    mu = problem.mass_diag * u
-    r = au - lam * mu
-    if problem.constraints:
-        c_mat = np.array(problem.constraints)
-        coef, *_ = np.linalg.lstsq(c_mat.T, r, rcond=None)
-        r = r - c_mat.T @ coef
-    denom = np.linalg.norm(mu)
-    if denom == 0.0:
-        denom = np.linalg.norm(u)
-    return float(np.linalg.norm(r) / denom)
+def _start_shift(problem: EigenProblem) -> float:
+    """A shift strictly below the pencil's spectrum.
+
+    A = L + diag(s) with L = sum |a_{i,i+1}| (e_i -+ e_{i+1})(...)^T
+    positive semidefinite, so u^T A u >= sum s_i u_i^2 >= beta u^T M u for
+    beta = min s_i / m_i, provided s_i >= 0 wherever m_i = 0.
+    """
+    a, off, m = problem.diag, np.abs(problem.off), problem.mass_diag
+    pos = m > 0
+    if not np.any(pos):
+        raise DomainError("mass is identically zero")
+    s = a.copy()
+    s[:-1] -= off
+    s[1:] -= off
+    # a pure Laplacian row sums to rounding noise, not to a negative shift
+    s[np.abs(s) <= 16.0 * _EPS * np.abs(a)] = 0.0
+    if np.any(s[~pos] < 0):
+        raise DomainError("stiffness is negative where the mass vanishes")
+    beta = float(np.min(s[pos] / m[pos]))
+    return beta - _START_GAP * (abs(beta) + float(np.median(a[pos] / m[pos])))
 
 
-def _eigh_path(problem: EigenProblem, k: int, index_offset: int,
-               want_vector: bool) -> EigenResult:
-    m = problem.mass_diag
-    s = 1.0 / np.sqrt(m)
-    d = problem.diag * s * s
-    e = problem.off * s[:-1] * s[1:]
-    i0, i1 = index_offset, index_offset + k - 1
-    if want_vector:
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(i0, i1))
-        u = vecs[:, 0] * s
-        u = u / np.max(np.abs(u))
-    else:
-        vals = eigh_tridiagonal(d, e, select="i", select_range=(i0, i1),
-                                eigvals_only=True)
-        u = None
-    residuals = []
-    for j, lam in enumerate(vals):
-        if want_vector:
-            uj = vecs[:, j] * s
-            residuals.append(_residual_norm(problem, lam, uj))
+def _shift_invert(problem: EigenProblem, y: np.ndarray) -> EigenResult:
+    """Smallest admissible eigenvalue of (A, M) by shift-invert iteration.
+
+    Every shift in use has passed an inertia count showing no admissible
+    eigenvalue below it, so the iteration converges to the smallest one;
+    a Rayleigh-quotient shift that would overshoot fails the count, which
+    then halves the bracket.  One constraint c^T u = 0 is handled by the
+    Schur complement (Golub 1973): with S = A - sigma M, the admissible
+    count below sigma is neg(S) + [c^T S^{-1} c > 0] - 1.  The result is
+    returned once the shift sits within a small relative margin below the
+    Rayleigh quotient, which brackets the eigenvalue.
+    """
+    a, off, m = problem.diag, problem.off, problem.mass_diag
+    if len(problem.constraints) > 1:
+        raise DomainError("at most one linear constraint is supported")
+    c = problem.constraints[0] if problem.constraints else None
+    # symmetric equilibration: D (A - sigma M) D has entries of order one
+    # however graded the weights are, so pivoting keeps the tail pivots
+    abs_a, abs_off = np.abs(a), np.abs(off)
+    big = np.maximum(abs_a, np.maximum(np.r_[abs_off, 0], np.r_[0, abs_off]))
+    if not np.all(big > 0):
+        raise DomainError("stiffness matrix has a zero row")
+    dsc = 1.0 / np.sqrt(big)
+    sa, so, sm = a * dsc * dsc, off * dsc[:-1] * dsc[1:], m * dsc * dsc
+
+    def factor(sigma: float):
+        """Factors of A - sigma M, or None when an admissible eigenvalue
+        lies at or below sigma."""
+        diag = sa - sigma * sm
+        *lu, info = dgttrf(so, diag, so)
+        if info != 0:
+            return None
+        positive = dpttrf(diag, so)[2] == 0
+        if c is None:
+            return (lu, None, 0.0) if positive else None
+        wc = dsc * dgttrs(*lu, dsc * c)[0]
+        f = float(c @ wc)
+        neg = 0 if positive else _negative_pivots(diag, so)
+        return (lu, wc, f) if neg + (f > 0.0) - 1 == 0 else None
+
+    lo = _start_shift(problem)
+    state = factor(lo)
+    if state is None:
+        raise NoConvergence("the start shift failed the inertia count")
+    hi = rho_prev = step = math.inf
+    if c is not None:   # so that M y has a part the constraint keeps
+        y = y - c * ((c @ y) / (c @ c))
+    for solves in range(1, _MAX_SOLVES + 1):
+        lu, wc, f = state
+        z = dsc * dgttrs(*lu, dsc * (m * y))[0]
+        if wc is not None:
+            z -= wc * ((c @ z) / f)
+        nz = math.sqrt(float(z @ (m * z)))
+        if not math.isfinite(nz) or nz == 0.0:
+            raise NoConvergence("shift-invert produced a null vector")
+        y = z / nz
+        ay = problem.apply_stiffness(y)
+        rho = float(y @ ay)
+        ya = np.abs(y)
+        noise = _ROUNDING * _EPS * float(
+            ya @ (abs_a * ya) + 2.0 * ya[:-1] @ (abs_off * ya[1:]))
+        margin = max(_CERTIFIED * abs(rho), noise)
+        step, prev_step = abs(rho_prev - rho), step
+        rho_prev = rho
+        if step <= max(_CONVERGED * abs(rho), noise):
+            if lo >= rho - margin:
+                break
+            cand = rho - 0.5 * margin
+        elif _GUARD * step <= _RESHIFT * (rho - lo) \
+                and step > _FAST * prev_step:
+            cand = rho - max(_GUARD * step, margin)
         else:
-            residuals.append(float("nan"))
-    return EigenResult(np.asarray(vals, dtype=float), np.asarray(residuals),
-                       u, problem.grid)
+            continue
+        if cand >= hi:
+            cand = 0.5 * (lo + hi)
+        if cand > lo:
+            new = factor(cand)
+            if new is None:
+                hi = cand
+            else:
+                lo, state = cand, new
+    else:
+        raise NoConvergence("shift-invert iteration did not converge")
+
+    r = ay - rho * (m * y)
+    if c is not None:
+        r -= c * ((c @ r) / (c @ c))
+    residual = float(np.linalg.norm(r) / np.linalg.norm(m * y))
+    return EigenResult(np.array([rho]), np.array([residual]),
+                       y / np.max(np.abs(y)), problem.grid, lo, solves)
+
+
+def solve_smallest(problem: EigenProblem) -> EigenResult:
+    """Smallest eigenvalue of the assembled pencil on its constraint space.
+
+    Certified: the result carries its residual and a shift below which an
+    LDL^T inertia count found no admissible eigenvalue; a failed count
+    raises NoConvergence instead of returning a higher mode.
+    """
+    # start near the usual minimizers: the constant without a constraint (the
+    # ground state is positive), else the coordinate; the count guards the rest
+    y = problem.grid.nodes() if problem.constraints else np.ones(problem.n)
+    return _shift_invert(problem, y)
 
 
 def _pencil_smallest_core(a_mat: sp.spmatrix, mass: np.ndarray,
-                          constraints: list[np.ndarray],
-                          proj=None, tol: float = 1e-10,
-                          max_iter: int = 10000,
-                          seed: int = 7) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of the PSD pencil (A, M) on the constraint space.
+                          constraint: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of the sparse PSD pencil (A, M) on c^T u = 0.
 
     Inverse power iteration on (A - sigma M)^{-1} M with shifts kept strictly
     below the current Rayleigh estimate, so the iteration cannot jump past
-    the smallest admissible eigenvalue.  Constraints are enforced exactly by
-    a bordered (saddle-point) factorization; the border also regularizes the
-    Neumann null space when the constant vector is inadmissible.
+    the smallest admissible eigenvalue.  The constraint is enforced exactly
+    by a bordered (saddle-point) factorization; the border also regularizes
+    the Neumann null space when the constant vector is inadmissible.
     """
     n = a_mat.shape[0]
-    c_mat = np.array(constraints) if constraints else np.zeros((0, n))
-    m_cons = c_mat.shape[0]
+    c_mat = constraint[None, :]
 
     def factor(sigma: float):
         s_mat = (a_mat - sigma * sp.diags(mass)) if sigma else a_mat
-        if m_cons:
-            k_mat = sp.bmat([[s_mat, sp.csc_matrix(c_mat.T)],
-                             [sp.csc_matrix(c_mat), None]], format="csc")
-        else:
-            k_mat = s_mat.tocsc()
-        return splu(k_mat)
+        return splu(sp.bmat([[s_mat, sp.csc_matrix(c_mat.T)],
+                             [sp.csc_matrix(c_mat), None]], format="csc"))
 
     pos = mass > 0
     if not np.any(pos):
         raise DomainError("mass is identically zero")
     scale = float(np.median(a_mat.diagonal()[pos] / mass[pos]) + 1.0)
 
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal(n)
-    if proj is not None:
-        y = proj(y)
-    if m_cons:
-        coef, *_ = np.linalg.lstsq(c_mat.T, y, rcond=None)
-        y = y - c_mat.T @ coef
+    tol, max_iter = 1e-9, 10000
+    y = np.random.default_rng(11).standard_normal(n)
+    coef, *_ = np.linalg.lstsq(c_mat.T, y, rcond=None)
+    y = y - c_mat.T @ coef
     ny = np.sqrt(y @ (mass * y))
     y = y / (ny if ny > 0 else np.linalg.norm(y))
 
@@ -246,11 +316,7 @@ def _pencil_smallest_core(a_mat: sp.spmatrix, mass: np.ndarray,
     best_err = math.inf
     best: tuple[float, np.ndarray] | None = None
     for it in range(max_iter):
-        rhs = np.concatenate([mass * y, np.zeros(m_cons)]) if m_cons \
-            else mass * y
-        z = lu.solve(rhs)[:n]
-        if proj is not None:
-            z = proj(z)
+        z = lu.solve(np.concatenate([mass * y, np.zeros(1)]))[:n]
         nz = np.sqrt(z @ (mass * z))
         if not np.isfinite(nz) or nz == 0.0:
             retries += 1
@@ -263,9 +329,8 @@ def _pencil_smallest_core(a_mat: sp.spmatrix, mass: np.ndarray,
         az = a_mat @ z
         rho_prev, rho = rho, float(z @ az)
         r = az - rho * mass * z
-        if m_cons:
-            coef, *_ = np.linalg.lstsq(c_mat.T, r, rcond=None)
-            r = r - c_mat.T @ coef
+        coef, *_ = np.linalg.lstsq(c_mat.T, r, rcond=None)
+        r = r - c_mat.T @ coef
         err = np.linalg.norm(r) / max(np.linalg.norm(az), 1e-300)
         delta = abs(rho - rho_prev)
         y = z
@@ -293,62 +358,6 @@ def _pencil_smallest_core(a_mat: sp.spmatrix, mass: np.ndarray,
     raise NoConvergence("inverse iteration did not converge")
 
 
-def _tridiag_sparse(problem: EigenProblem) -> sp.csr_matrix:
-    return sp.diags([problem.off, problem.diag, problem.off],
-                    offsets=[-1, 0, 1], format="csr")
-
-
-def _iteration_path(problem: EigenProblem, k: int, parity: str,
-                    tol: float = 1e-10, max_iter: int = 10000) -> EigenResult:
-    """Constrained/parity-restricted path built on the inverse power core."""
-    n = problem.n
-    proj = _odd_projector(n) if parity == "odd" else None
-    if proj is not None and not problem.grid.symmetric:
-        raise DomainError("odd-parity restriction needs a symmetric grid")
-
-    a_mat = _tridiag_sparse(problem)
-    cons: list[np.ndarray] = list(problem.constraints)
-    if proj is not None and not cons:
-        # pin the even null direction so the bordered matrix is regular
-        cons = [problem.mass_diag * np.ones(n)]
-    found_vals: list[float] = []
-    found_res: list[float] = []
-    first_vec: np.ndarray | None = None
-    for mode in range(k):
-        lam, vec = _pencil_smallest_core(a_mat, problem.mass_diag, cons,
-                                         proj=proj, tol=tol,
-                                         max_iter=max_iter, seed=7 + mode)
-        found_vals.append(lam)
-        found_res.append(_residual_norm(problem, lam, vec))
-        if mode == 0:
-            first_vec = vec / np.max(np.abs(vec))
-        cons = cons + [problem.mass_diag * vec]   # deflate in the M product
-
-    order = np.argsort(found_vals)
-    vals = np.asarray(found_vals)[order]
-    res = np.asarray(found_res)[order]
-    return EigenResult(vals, res, first_vec, problem.grid)
-
-
-def solve_smallest(problem: EigenProblem, k: int = 1, parity: str = "any",
-                   want_vector: bool = True) -> EigenResult:
-    """k smallest (constrained) eigenvalues of the assembled pencil.
-
-    Uses LAPACK bisection on the mass-scaled tridiagonal matrix whenever the
-    problem is unconstrained (or the constraint is the mass mean, which just
-    shifts the index window); otherwise falls back to projected shifted
-    inverse iteration.
-    """
-    if parity not in ("any", "odd"):
-        raise DomainError(f"unknown parity tag {parity!r}")
-    if parity == "any":
-        if not problem.constraints and np.all(problem.mass_diag > 0):
-            return _eigh_path(problem, k, 0, want_vector)
-        if _constraint_is_mass_mean(problem):
-            return _eigh_path(problem, k, 1, want_vector)
-    return _iteration_path(problem, k, parity)
-
-
 # ---------------------------------------------------------------------------
 # spectral gap
 # ---------------------------------------------------------------------------
@@ -367,9 +376,14 @@ def _gap_single(m, b: float, n: int) -> float:
     # drop tails where the density underflows outright; the tridiagonal
     # bisection solver tolerates any representable dynamic range
     grid, w = _crop_support(w, grid, floor=1e-290)
-    prob = assemble(w, w, grid, constraint_weight=w)
-    res = solve_smallest(prob, k=1, want_vector=False)
-    return float(res.eigenvalues[0])
+    prob = assemble(w, w, grid)
+    # with mass = stiffness weight the mean constraint only removes the
+    # constant null mode: the gap is the second eigenvalue of the
+    # mass-scaled matrix, whose entries stay of order 1/h^2
+    s = 1.0 / np.sqrt(prob.mass_diag)
+    return float(eigh_tridiagonal(prob.diag * s * s, prob.off * s[:-1] * s[1:],
+                                  select="i", select_range=(1, 1),
+                                  eigvals_only=True)[0])
 
 
 def spectral_gap(m, opts: GapOptions = GapOptions()) -> float:
@@ -449,16 +463,7 @@ def check_P1(nu, theta, grid: Grid,
     Computes lambda* = inf { int v'^2 dnu / int v^2 theta dnu :
     int v dnu = 0 }; the condition holds iff lambda* >= 1.
     """
-    nu = np.asarray(nu, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    _check_theta(theta)
-    if _theta_mass(theta, nu, grid) < _THETA_ZERO_MASS:
-        return ConditionCheck(math.inf, True, math.inf)
-    grid, nu, theta = _crop_support(nu, grid, theta)
-    prob = assemble(nu, theta * nu, grid, constraint_weight=nu)
-    res = solve_smallest(prob, k=1, want_vector=False)
-    lam = float(res.eigenvalues[0])
-    return ConditionCheck(lam, lam >= 1.0 - solver_margin, lam - 1.0)
+    return _condition(nu, theta, grid, solver_margin, constrained=True)
 
 
 def check_P2(nu, theta, lambda_tau: float, grid: Grid,
@@ -470,16 +475,24 @@ def check_P2(nu, theta, lambda_tau: float, grid: Grid,
     """
     if lambda_tau < 0:
         raise DomainError("lambda_tau must be nonnegative")
+    return _condition(nu, theta, grid, solver_margin, shift=lambda_tau)
+
+
+def _condition(nu, theta, grid: Grid, solver_margin: float,
+               constrained: bool = False,
+               shift: float = 0.0) -> ConditionCheck:
+    """Smallest eigenvalue of the cropped pencil (nu stiffness, theta nu
+    mass), mean-constrained or shifted by ``shift`` nu, against 1."""
     nu = np.asarray(nu, dtype=float)
     theta = np.asarray(theta, dtype=float)
     _check_theta(theta)
     if _theta_mass(theta, nu, grid) < _THETA_ZERO_MASS:
         return ConditionCheck(math.inf, True, math.inf)
     grid, nu, theta = _crop_support(nu, grid, theta)
-    prob = assemble(nu, theta * nu, grid, shift=lambda_tau,
-                    shift_mass_weight=nu)
-    res = solve_smallest(prob, k=1, want_vector=False)
-    val = float(res.eigenvalues[0])
+    prob = assemble(nu, theta * nu, grid,
+                    constraint_weight=nu if constrained else None,
+                    shift=shift, shift_mass_weight=nu)
+    val = float(solve_smallest(prob).eigenvalues[0])
     return ConditionCheck(val, val >= 1.0 - solver_margin, val - 1.0)
 
 
@@ -533,24 +546,6 @@ class TensorOracleResult:
     witness: np.ndarray | None = field(default=None, compare=False)
 
 
-def _stiffness_1d_sparse(weight: np.ndarray, grid: Grid) -> sp.csr_matrix:
-    h = grid.h
-    wh = np.sqrt(weight[:-1]) * np.sqrt(weight[1:])
-    off = -wh / h
-    diag = np.zeros(grid.n)
-    diag[:-1] += wh / h
-    diag[1:] += wh / h
-    return sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
-
-
-def _pencil_smallest_sparse(a_mat: sp.spmatrix, mass: np.ndarray,
-                            constraint: np.ndarray, tol: float = 1e-9,
-                            max_iter: int = 10000) -> tuple[float, np.ndarray]:
-    """Smallest constrained eigenvalue of a sparse PSD pencil."""
-    return _pencil_smallest_core(a_mat.tocsr(), mass, [constraint],
-                                 tol=tol, max_iter=max_iter, seed=11)
-
-
 def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
                      threshold: float = 0.02) -> TensorOracleResult:
     """Dense product-grid falsification oracle for the two 1-D conditions.
@@ -571,7 +566,7 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
 
     # 1-D side: lambda_tau on the same grid for consistency
     prob_tau = assemble(tau, tau, grid, constraint_weight=tau)
-    lambda_tau = float(solve_smallest(prob_tau, want_vector=False).eigenvalues[0])
+    lambda_tau = float(solve_smallest(prob_tau).eigenvalues[0])
     p1 = check_P1(nu, theta, grid)
     p2 = check_P2(nu, theta, lambda_tau, grid)
 
@@ -579,12 +574,15 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
         return TensorOracleResult(math.inf, True, p1, p2, lambda_tau, True)
 
     trap = grid.trapezoid_weights()
-    ax = _stiffness_1d_sparse(tau, grid)
-    ay = _stiffness_1d_sparse(nu, grid)
+    prob_nu = assemble(nu, nu, grid)
+    ax = sp.diags([prob_tau.off, prob_tau.diag, prob_tau.off], [-1, 0, 1],
+                  format="csr")
+    ay = sp.diags([prob_nu.off, prob_nu.diag, prob_nu.off], [-1, 0, 1],
+                  format="csr")
     a2 = sp.kron(sp.diags(nu * trap), ax) + sp.kron(ay, sp.diags(tau * trap))
     mass2 = np.outer(theta * nu * trap, tau * trap).ravel()
     c2 = np.outer(nu * trap, tau * trap).ravel()
-    lam2d, vec = _pencil_smallest_sparse(a2.tocsr(), mass2, c2)
+    lam2d, vec = _pencil_smallest_core(a2.tocsr(), mass2, c2)
 
     verdict_2d = lam2d >= 1.0
     verdict_1d = p1.holds and p2.holds

@@ -107,6 +107,16 @@ def test_finite_diff_matches_analytic():
     assert report.feasible
 
 
+def test_finite_diff_richardson_any_ratio():
+    # magnitudes in ratio 3: the Richardson weights must follow the ratio
+    # (the ratio-2 weights miss k_dot by 2%)
+    bump, _ = design_bump()
+    report = finite_diff_validate(bump, (0.01, 0.03))
+    assert report.epsilons == (0.01, -0.01, 0.03, -0.03)
+    for fd, an in zip(report.fd_slopes, report.slopes):
+        assert abs(fd - an) / abs(an) <= 2e-3
+
+
 def test_finite_diff_single_atom():
     atom = BumpFunction((1.0,), (1.0,), (1.0,))
     report = finite_diff_validate(atom, (0.01,))

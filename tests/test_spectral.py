@@ -4,12 +4,24 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from prodiso.errors import DomainError, NonConvexPotential, OutOfBudget, SignedWeight
+from prodiso import spectral
+from prodiso.errors import (
+    DomainError,
+    NoConvergence,
+    NonConvexPotential,
+    OutOfBudget,
+    SignedWeight,
+)
 from prodiso.measures import MeasureSpec
 from prodiso.numerics import Grid, integrate
+from prodiso.perturb import design_bump, eigen_curves
 from prodiso.spectral import (
     GapOptions,
+    _crop_support,
+    _gap_single,
+    _shift_invert,
     assemble,
     brascamp_lieb_residual,
     check_P1,
@@ -23,15 +35,21 @@ from prodiso.halfspace import boundary_density
 
 
 def test_neumann_null_mode():
-    # constants are exact discrete null modes of the unconstrained pencil
+    # constants are exact discrete null modes of the unconstrained pencil;
+    # the mean constraint removes them and leaves the gap, whose
+    # eigenfunction is odd
     m = MeasureSpec.gaussian(1.0)
     grid = Grid.symmetric_grid(8.0, 801)
     w = m.density(grid.nodes())
-    prob = assemble(w, w, grid)
-    res = solve_smallest(prob, k=2)
+    res = solve_smallest(assemble(w, w, grid))
     assert abs(res.eigenvalues[0]) < 1e-10
-    assert abs(res.eigenvalues[1] - 1.0) < 1e-4
     assert res.residual_norms[0] < 1e-8
+    assert np.ptp(res.eigenvector) < 1e-8
+    res = solve_smallest(assemble(w, w, grid, constraint_weight=w))
+    assert abs(res.eigenvalues[0] - 1.0) < 1e-4
+    assert res.residual_norms[0] < 1e-8
+    v = res.eigenvector
+    assert np.max(np.abs(v + v[::-1])) < 1e-8
 
 
 def test_gaussian_gap_and_scaling():
@@ -74,23 +92,65 @@ def test_power_law_gap_in_remark_bracket():
     assert abs(lam - 2.7371850) < 1e-3
 
 
-def test_solver_rejects_bad_parity():
+def test_solver_rejects_two_constraints():
     m = MeasureSpec.gaussian(1.0)
     grid = Grid.symmetric_grid(8.0, 801)
     w = m.density(grid.nodes())
+    prob = assemble(w, w, grid, constraint_weight=w)
+    prob = spectral.EigenProblem(prob.grid, prob.diag, prob.off,
+                                 prob.mass_diag, (w, w * grid.nodes()))
     with pytest.raises(DomainError):
-        solve_smallest(assemble(w, w, grid), parity="even-ish")
+        solve_smallest(prob)
 
 
 def test_odd_parity_matches_gap():
-    # the gap eigenfunction of a symmetric measure is odd
+    # the mean-constrained minimum is the gap, found by bisection on the
+    # same grid, and its eigenfunction is odd
+    m = MeasureSpec.gaussian(1.0)
+    grid = Grid.symmetric_grid(8.0, 1601)
+    w = m.density(grid.nodes())
+    res = solve_smallest(assemble(w, w, grid, constraint_weight=w))
+    assert abs(res.eigenvalues[0] - _gap_single(m, 8.0, 1601)) < 1e-8
+    v = res.eigenvector
+    assert np.max(np.abs(v + v[::-1])) < 1e-8
+
+
+def test_certificate_recovers_from_even_start():
+    # an even start vector has no component along the odd minimizer; the
+    # inertia count refuses the even mode and the bracket closes on the
+    # smallest eigenvalue anyway
     m = MeasureSpec.gaussian(1.0)
     grid = Grid.symmetric_grid(8.0, 1601)
     w = m.density(grid.nodes())
     prob = assemble(w, w, grid, constraint_weight=w)
-    any_res = solve_smallest(prob, k=1, want_vector=False)
-    odd_res = solve_smallest(prob, k=1, parity="odd", want_vector=False)
-    assert abs(any_res.eigenvalues[0] - odd_res.eigenvalues[0]) < 1e-8
+    expect = solve_smallest(prob).eigenvalues[0]
+    for y0 in (np.ones(grid.n), grid.nodes() ** 2):
+        res = _shift_invert(prob, y0)
+        assert abs(res.eigenvalues[0] - expect) < 1e-9
+        assert res.lower_bound <= res.eigenvalues[0]
+        v = res.eigenvector
+        assert np.max(np.abs(v + v[::-1])) < 1e-8
+
+
+def test_failed_count_raises(monkeypatch):
+    # a count that never passes must end in NoConvergence, not in a value
+    grid, nu, theta = _logistic_bisector_weights(n=1001)
+    prob = assemble(nu, theta * nu, grid, constraint_weight=nu)
+    monkeypatch.setattr(spectral, "_negative_pivots", lambda d, q: len(d))
+    with pytest.raises(NoConvergence):
+        solve_smallest(prob)
+
+
+def test_result_is_certified():
+    grid, nu, theta = _logistic_bisector_weights()
+    grid, nu, theta = _crop_support(nu, grid, theta)
+    for prob in (assemble(nu, theta * nu, grid, constraint_weight=nu),
+                 assemble(nu, theta * nu, grid, shift=0.25,
+                          shift_mass_weight=nu)):
+        res = solve_smallest(prob)
+        lam = res.eigenvalues[0]
+        assert res.lower_bound <= lam <= res.lower_bound + 1e-8 * lam
+        assert res.residual_norms[0] < 1e-9
 
 
 def _logistic_bisector_weights(n=4001, half_width=56.0):
@@ -110,6 +170,78 @@ def test_check_P2_logistic_bisector():
     p2 = check_P2(nu, theta, 0.25, grid)
     assert not p2.holds
     assert abs(p2.value - 0.6125) < 1e-3
+
+
+def test_logistic_bisector_refinement():
+    # P2 = sqrt(6)/4 and 4 P1 = 6 in closed form; neither drifts as the
+    # mesh is refined
+    errs = []
+    for n in (1001, 4001, 16001):
+        grid, nu, theta = _logistic_bisector_weights(n)
+        errs.append(abs(4.0 * check_P1(nu, theta, grid).value - 6.0))
+        p2 = check_P2(nu, theta, 0.25, grid).value
+        if n > 1001:
+            assert abs(p2 - math.sqrt(6.0) / 4.0) < 1e-6
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] < 1e-4
+
+
+def test_shifted_indefinite_matches_bisection():
+    # a(eps) assembles stiffness minus Theta-mass, an indefinite pencil;
+    # reference values from LAPACK bisection on the mass-scaled matrix
+    bump, _ = design_bump()
+    for eps, a_ref in ((0.01, 0.9850310638383624),
+                       (-0.01, 1.017619798361323)):
+        assert abs(eigen_curves(bump, eps)[2] - a_ref) < 1e-9
+
+
+def test_power_p2_with_zero_centre_mass():
+    # theta = 12 s^2 vanishes at the centre node, so M is singular there;
+    # reference: eliminate that node (static condensation) and solve the
+    # dense definite pencil that is left
+    m = MeasureSpec.power_law(4.0)
+    grid = Grid.symmetric_grid(4.0, 401)
+    nu, theta = boundary_density(m, -1, 0.0, grid)
+    k = grid.n // 2
+    assert theta[k] == 0.0
+    prob = assemble(nu, theta * nu, grid, shift=2.7, shift_mass_weight=nu)
+    a = np.diag(prob.diag) + np.diag(prob.off, 1) + np.diag(prob.off, -1)
+    rest = np.arange(grid.n) != k
+    a_red = a[np.ix_(rest, rest)] - np.outer(a[rest, k], a[k, rest]) / a[k, k]
+    ref = scipy.linalg.eigh(a_red, np.diag(prob.mass_diag[rest]),
+                            eigvals_only=True, subset_by_index=(0, 0))[0]
+    res = solve_smallest(prob)
+    assert abs(res.eigenvalues[0] - ref) < 1e-9 * ref
+    assert abs(check_P2(nu, theta, 2.7, grid).value - ref) < 1e-9 * ref
+
+
+def _dense_smallest(prob):
+    a = np.diag(prob.diag) + np.diag(prob.off, 1) + np.diag(prob.off, -1)
+    m = np.diag(prob.mass_diag)
+    if prob.constraints:
+        c = prob.constraints[0]
+        q, _ = np.linalg.qr(np.column_stack([c, np.eye(c.size)[:, :-1]]))
+        a, m = q[:, 1:].T @ a @ q[:, 1:], q[:, 1:].T @ m @ q[:, 1:]
+    return scipy.linalg.eigh(a, m, eigvals_only=True,
+                             subset_by_index=(0, 0))[0]
+
+
+def test_solver_matches_dense_reference():
+    # mean-constrained, shifted and indefinite pencils of random
+    # log-concave instances against a dense solve on the constraint space
+    rng = np.random.default_rng(1)
+    for _ in range(8):
+        nu, _, theta, grid = random_oracle_instance(rng, 101)
+        grid, nu, theta = _crop_support(nu, grid, theta)
+        for prob in (assemble(nu, theta * nu, grid, constraint_weight=nu),
+                     assemble(nu, theta * nu, grid, shift=rng.uniform(0, 3),
+                              shift_mass_weight=nu),
+                     assemble(nu, nu, grid, shift=-1.0,
+                              shift_mass_weight=theta * nu)):
+            ref = _dense_smallest(prob)
+            res = solve_smallest(prob)
+            assert abs(res.eigenvalues[0] - ref) < 1e-9 * abs(ref)
+            assert res.lower_bound <= res.eigenvalues[0]
 
 
 def test_check_P1_power_witness():
