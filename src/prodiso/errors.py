@@ -17,10 +17,6 @@ class NoConvergence(ProdisoError):
     """Iterative procedure exceeded its budget without meeting tolerance."""
 
 
-class SingularShift(ProdisoError):
-    """Shifted linear solve hit a (numerically) singular matrix."""
-
-
 class GridTooNarrow(ProdisoError):
     """Tabulated density carries non-negligible mass at the grid boundary."""
 

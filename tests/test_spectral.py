@@ -1,10 +1,12 @@
 """Eigenvalue solver, spectral gaps, weighted conditions and the 2-D oracle."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from prodiso import spectral
 from prodiso.errors import (
@@ -22,6 +24,8 @@ from prodiso.spectral import (
     _crop_support,
     _gap_single,
     _shift_invert,
+    _sparse_pencil,
+    _tridiagonal_pencil,
     assemble,
     brascamp_lieb_residual,
     check_P1,
@@ -125,7 +129,7 @@ def test_certificate_recovers_from_even_start():
     prob = assemble(w, w, grid, constraint_weight=w)
     expect = solve_smallest(prob).eigenvalues[0]
     for y0 in (np.ones(grid.n), grid.nodes() ** 2):
-        res = _shift_invert(prob, y0)
+        res = _shift_invert(_tridiagonal_pencil(prob), y0)
         assert abs(res.eigenvalues[0] - expect) < 1e-9
         assert res.lower_bound <= res.eigenvalues[0]
         v = res.eigenvector
@@ -286,16 +290,101 @@ def test_brascamp_lieb_requires_convexity():
         brascamp_lieb_residual(m, lambda x: np.asarray(x))
 
 
-def test_tensor_oracle_matches_1d_conditions():
+def _product_pencil(n=21):
+    # the oracle's pencil for two Gaussians and a non-constant theta, small
+    # enough for a dense reference
+    grid = Grid.symmetric_grid(5.0, n)
+    x = grid.nodes()
+    nu, tau = np.exp(-0.5 * x ** 2), np.exp(-0.5 * (x / 1.3) ** 2)
+    theta = 1.0 + 0.3 * np.cos(x)
+    trap = grid.trapezoid_weights()
+
+    def tri(p):
+        return sp.diags([p.off, p.diag, p.off], [-1, 0, 1])
+
+    a2 = (sp.kron(sp.diags(nu * trap), tri(assemble(tau, tau, grid)))
+          + sp.kron(tri(assemble(nu, nu, grid)), sp.diags(tau * trap)))
+    mass2 = np.outer(theta * nu * trap, tau * trap).ravel()
+    c2 = np.outer(nu * trap, tau * trap).ravel()
+    return a2, mass2, c2, np.add.outer(x, x).ravel()
+
+
+def test_product_pencil_is_certified():
+    a2, mass2, c2, y0 = _product_pencil()
+    pencil = _sparse_pencil(a2, mass2, c2)
+    res = _shift_invert(pencil, y0)
+    lam = res.eigenvalues[0]
+    assert res.lower_bound <= lam <= res.lower_bound + 1e-9 * lam
+    q = scipy.linalg.null_space(c2[None, :])
+    ref = scipy.linalg.eigh(q.T @ a2.toarray() @ q, (q.T * mass2) @ q,
+                            eigvals_only=True, subset_by_index=(0, 0))[0]
+    assert res.lower_bound <= ref * (1 + 1e-12)
+    assert lam >= ref * (1 - 1e-12)
+    # U's negative diagonal entries count the pencil's eigenvalues below
+    # the shift (Sylvester)
+    ev = scipy.linalg.eigh(a2.toarray(), np.diag(mass2), eigvals_only=True)
+    for sigma in (pencil.lo, 0.5 * (ev[1] + ev[2]), 0.5 * (ev[6] + ev[7])):
+        assert pencil.factor(sigma)[1] == np.count_nonzero(ev < sigma)
+    # a start shift above the eigenvalue fails its count
+    with pytest.raises(NoConvergence):
+        _shift_invert(pencil._replace(lo=2.0 * lam), y0)
+
+
+def test_product_pencil_refuses_off_diagonal_pivots(monkeypatch):
+    a2, mass2, c2, y0 = _product_pencil()
+    pencil = _sparse_pencil(a2, mass2, c2)
+    assert pencil.factor(pencil.lo) is not None
+
+    class Pivoted:
+        """A factor whose row permutation differs from its column one."""
+
+        def __init__(self, lu):
+            self._lu = lu
+            self.perm_r = np.roll(lu.perm_r, 1)
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+    splu = spectral.splu
+    monkeypatch.setattr(spectral, "splu",
+                        lambda *a, **k: Pivoted(splu(*a, **k)))
+    assert pencil.factor(pencil.lo) is None
+    with pytest.raises(NoConvergence):
+        _shift_invert(pencil, y0)
+
+
+def _logistic_bisector_instance():
     grid = Grid.symmetric_grid(24.0, 151)
     m = MeasureSpec.logistic()
     nu, theta = boundary_density(m, -1, 0.0, grid)
-    tau = m.density(grid.nodes())
-    r = tensor_oracle_2d(nu, tau, theta, grid)
+    return nu, m.density(grid.nodes()), theta, grid
+
+
+def _random_instance(gen_seed, draw, n):
+    rng = np.random.default_rng(gen_seed)
+    for _ in range(draw):
+        inst = random_oracle_instance(rng, n)
+    return inst
+
+
+@pytest.mark.parametrize("instance, holds", [
+    pytest.param(_logistic_bisector_instance, False, id="logistic-bisector"),
+    # P1 and P2 within 0.95-3.4% of each other, and a 0.02% near tie
+    *(pytest.param(functools.partial(_random_instance, *k), holds,
+                   id="-".join(map(str, k)))
+      for k, holds in (((7, 12, 201), True), ((5, 8, 151), False),
+                       ((903, 47, 201), True), ((904, 36, 151), True),
+                       ((900, 97, 101), True))),
+])
+def test_tensor_oracle_matches_1d_conditions(instance, holds):
+    r = tensor_oracle_2d(*instance())
     assert r.agrees
-    # the 2-D infimum reproduces the failing 1-D shifted condition
-    assert abs(r.lambda_2d - r.p2.value) < 5e-3
-    assert not (r.p1.holds and r.p2.holds)
+    assert (r.p1.holds and r.p2.holds) == holds
+    # fast diagonalization in the tau factor splits the 2-D pencil into the
+    # P1 pencil and P2 pencils shifted by the tau eigenvalues, so on the
+    # grid lambda_2D = min(P1, P2) exactly
+    expect = min(r.p1.value, r.p2.value)
+    assert abs(r.lambda_2d - expect) <= 1e-9 * expect
 
 
 def test_tensor_oracle_budget():
