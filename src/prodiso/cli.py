@@ -32,17 +32,10 @@ _USAGE_EXIT = 64
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Grid, solver and output settings shared by all commands."""
+    """Output settings shared by all commands."""
 
-    tail_mass: float = 1e-12
-    n: int = 4001
-    solver_margin: float = 0.01
     out: str | None = None
     format: str = "json"
-
-    @property
-    def gap_options(self) -> GapOptions:
-        return GapOptions(tail_mass=self.tail_mass, n=self.n)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,18 +97,22 @@ def _add_common(p: argparse.ArgumentParser, measure: bool = True) -> None:
     if measure:
         p.add_argument("--measure", default="logistic",
                        help="measure name or JSON descriptor")
-    p.add_argument("--grid-n", type=int, default=4001, dest="grid_n")
-    p.add_argument("--tail-mass", type=float, default=1e-12, dest="tail_mass")
-    p.add_argument("--solver-margin", type=float, default=0.01,
-                   dest="solver_margin")
     p.add_argument("--out", default=None, help="artifact file path")
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
 
+def _add_gap_options(p: argparse.ArgumentParser) -> None:
+    """The flags read into GapOptions."""
+    p.add_argument("--grid-n", type=int, default=4001, dest="grid_n")
+    p.add_argument("--tail-mass", type=float, default=1e-12, dest="tail_mass")
+
+
+def _gap_options(args: argparse.Namespace) -> GapOptions:
+    return GapOptions(tail_mass=args.tail_mass, n=args.grid_n)
+
+
 def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(tail_mass=args.tail_mass, n=args.grid_n,
-                     solver_margin=args.solver_margin, out=args.out,
-                     format=args.format)
+    return RunConfig(out=args.out, format=args.format)
 
 
 def _measure(args: argparse.Namespace) -> MeasureSpec:
@@ -125,7 +122,7 @@ def _measure(args: argparse.Namespace) -> MeasureSpec:
 def _cmd_spectral_gap(args) -> int:
     cfg = _config(args)
     m = _measure(args)
-    lam = spectral_gap(m, cfg.gap_options)
+    lam = spectral_gap(m, _gap_options(args))
     _emit(cfg, f"spectral-gap {lam:.6f}",
           {"measure": m.label, "lambda": lam})
     return 0
@@ -147,15 +144,15 @@ def _cmd_stable(args) -> int:
     hs = _parse_halfspace(args.halfspace, args.dim)
     active = hs.nonzero
     if len(active) == 1:
-        verdict = coordinate_stability(m, hs.tau, cfg.solver_margin,
-                                       cfg.gap_options)
+        verdict = coordinate_stability(m, hs.tau, args.solver_margin,
+                                       _gap_options(args))
     elif len(active) == 2 and abs(abs(hs.alpha(active[0]))
                                   - abs(hs.alpha(active[1]))) <= 1e-12:
         other = active[1] if hs.reference == active[0] else active[0]
         alpha = int(round(hs.alpha(other)))
         verdict = noncoordinate_stability(m, alpha, hs.tau, args.dim,
-                                          cfg.solver_margin, cfg.gap_options,
-                                          n=cfg.n)
+                                          args.solver_margin,
+                                          _gap_options(args), n=args.grid_n)
     else:
         raise DomainError(
             "stability handles coordinate and two-equal-component "
@@ -179,7 +176,7 @@ def _cmd_envelope(args) -> int:
     cfg = _config(args)
     m = _measure(args)
     ts = np.linspace(0.0, 1.0, args.grid_t)
-    pb = profile_envelope(m, ts, cfg.gap_options, clt_n_max=args.n_max)
+    pb = profile_envelope(m, ts, _gap_options(args), clt_n_max=args.n_max)
     mid = pb.lower[args.grid_t // 2]
     artifact = {
         "measure": m.label,
@@ -280,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral-gap", help="spectral gap of a measure")
     _add_common(p)
+    _add_gap_options(p)
     p.set_defaults(func=_cmd_spectral_gap)
 
     p = sub.add_parser("stationary", help="classify half-space stationarity")
@@ -290,6 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stable", help="half-space stability verdict")
     _add_common(p)
+    _add_gap_options(p)
+    p.add_argument("--solver-margin", type=float, default=0.01,
+                   dest="solver_margin")
     p.add_argument("--halfspace", required=True)
     p.add_argument("--dim", type=int, default=2)
     p.set_defaults(func=_cmd_stable)
@@ -301,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("envelope", help="profile bounds over a level grid")
     _add_common(p)
+    _add_gap_options(p)
     p.add_argument("--grid-t", type=int, default=101, dest="grid_t")
     p.add_argument("--n-max", type=int, default=0, dest="n_max",
                    help="optional CLT trace length")
@@ -332,9 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tensor-oracle",
                        help="randomized 2-D tensorization checks")
     _add_common(p, measure=False)
+    p.add_argument("--grid-n", type=int, default=101, dest="grid_n")
     p.add_argument("--count", type=int, default=25)
     p.add_argument("--seed", type=int, default=2024)
-    p.set_defaults(func=_cmd_tensor_oracle, grid_n=101)
+    p.set_defaults(func=_cmd_tensor_oracle)
 
     return parser
 

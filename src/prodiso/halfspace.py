@@ -22,7 +22,7 @@ from .errors import (
     HypothesisViolated,
 )
 from .measures import STRICTLY_LOG_CONCAVE, MeasureSpec
-from .numerics import Grid, TabulatedDensity, _convolve, _rescale, tabulate
+from .numerics import Grid, TabulatedDensity, _partial_sums, _rescale, tabulate
 from .spectral import (
     DEFAULT_SOLVER_MARGIN,
     GapOptions,
@@ -259,15 +259,11 @@ def mean_curvature_residual(measures: list[MeasureSpec], hs: HalfSpace,
     return float(np.max(vals) - np.min(vals))
 
 
-def _gap(m: MeasureSpec, gap_options: GapOptions | None) -> float:
-    return spectral_gap(m, gap_options) if gap_options else spectral_gap(m)
-
-
 def coordinate_stability(m: MeasureSpec, t: float,
                          solver_margin: float = DEFAULT_SOLVER_MARGIN,
                          gap_options: GapOptions | None = None) -> StabilityVerdict:
     """Stability of {x_i < t}: holds iff -psi''(t) <= spectral gap."""
-    lam = _gap(m, gap_options)
+    lam = spectral_gap(m, gap_options)
     margin = lam + m.log_density(t)[2]
     certs = {"lambda": lam, "psi_second_at_t": m.log_density(t)[2],
              "margin": margin}
@@ -291,7 +287,7 @@ def coordinate_stable_region(m: MeasureSpec,
     scan endpoint inside the region is extended to the corresponding
     infinity (the built-in potentials are monotone past the truncation).
     """
-    lam = _gap(m, gap_options)
+    lam = spectral_gap(m, gap_options)
     b = m.truncation_interval(1e-10)[1]
     ts = np.linspace(-b, b, n_scan)
     if m._singular_points():
@@ -368,7 +364,7 @@ def noncoordinate_stability(m: MeasureSpec, alpha: int, tau: float,
         if np.any(m.log_density(np.linspace(0.0, b, 2001))[2] >= 0.0):
             raise HypothesisViolated("measure must be strictly log-concave")
 
-    lam = _gap(m, gap_options)
+    lam = spectral_gap(m, gap_options)
     half_width = math.sqrt(2.0) * (b + abs(tau))
     grid = Grid.symmetric_grid(half_width, n)
     nu, theta = boundary_density(m, alpha, tau, grid)
@@ -390,16 +386,16 @@ def noncoordinate_stability(m: MeasureSpec, alpha: int, tau: float,
 
 def projection_density(measures: list[MeasureSpec], hs: HalfSpace,
                        h: float = 0.005) -> TabulatedDensity:
-    """Density of sum_i v_i X_i tabulated by iterated discrete convolution."""
-    out: TabulatedDensity | None = None
-    for i in hs.nonzero:
-        m = measures[i]
-        b = m.truncation_interval(1e-12)[1]
-        n = 2 * max(1, int(math.ceil(b / h))) + 1
-        g = Grid.symmetric_grid(h * (n - 1) / 2.0, n)
-        d = tabulate(m, g).normalized()
-        factor = _rescale(d, hs.v[i]).normalized()
-        out = factor if out is None else _convolve(out, factor).normalized()
+    """Density of sum_i v_i X_i, the last partial sum of ``_partial_sums``
+    over the factor densities tabulated on spacing h and rescaled by v_i."""
+    def factor(i: int) -> TabulatedDensity:
+        g = Grid.covering(measures[i].truncation_interval(1e-12)[1], h)
+        return _rescale(tabulate(measures[i], g).normalized(),
+                        hs.v[i]).normalized()
+
+    out = None
+    for out in _partial_sums(factor(i) for i in hs.nonzero):
+        pass
     if out is None:
         raise DomainError("direction has no nonzero component")
     return out

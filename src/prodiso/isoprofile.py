@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainError, GridTooNarrow, NotLogConcave
+from .errors import DomainError, NotLogConcave
 from .measures import MeasureSpec
-from .numerics import Grid, TabulatedDensity, _convolve, _trim, tabulate
+from .numerics import Grid, _partial_sums, tabulate
 from .spectral import GapOptions, spectral_gap
 
 
@@ -70,26 +70,8 @@ def tensor_lower_bound(m: MeasureSpec, t: float,
     if not 0.0 <= t <= 1.0:
         raise DomainError("profile argument must lie in [0, 1]")
     if lam is None:
-        lam = spectral_gap(m, gap_options) if gap_options else spectral_gap(m)
+        lam = spectral_gap(m, gap_options)
     return math.sqrt(lam) * compute_c() * t * (1.0 - t)
-
-
-def _sum_density_steps(m: MeasureSpec, n_max: int,
-                       h: float) -> list[TabulatedDensity]:
-    """Densities of X_1 + ... + X_N for N = 1..n_max on a common spacing."""
-    b = m.truncation_interval(1e-12)[1]
-    n = 2 * max(1, int(math.ceil(b / h))) + 1
-    g = Grid.symmetric_grid(h * (n - 1) / 2.0, n)
-    base = tabulate(m, g).normalized()
-    out = [base]
-    cur = base
-    for _ in range(n_max - 1):
-        cur = _trim(_convolve(cur, base, fast=True).normalized())
-        peak = cur.values.max()
-        if max(cur.values[0], cur.values[-1]) > 1e-10 * max(peak, 1.0):
-            raise GridTooNarrow("convolution support reaches the grid boundary")
-        out.append(cur)
-    return out
 
 
 def clt_upper_bound(m: MeasureSpec, t: float, n_max: int,
@@ -105,7 +87,9 @@ def clt_upper_bound(m: MeasureSpec, t: float, n_max: int,
         raise DomainError("n_max must lie in 1..128")
     vals: list[float] = []
     symmetric_mid = m.symmetric and t == 0.5
-    for n_copies, dens in enumerate(_sum_density_steps(m, n_max, h), start=1):
+    b = m.truncation_interval(1e-12)[1]
+    base = tabulate(m, Grid.covering(b, h)).normalized()
+    for n_copies, dens in enumerate(_partial_sums([base] * n_max), start=1):
         root = math.sqrt(n_copies)
         q = 0.0 if symmetric_mid else dens.quantile(t)
         vals.append(float(root * dens(q)))
@@ -140,7 +124,7 @@ def profile_envelope(m: MeasureSpec, t_grid,
     ts = np.asarray(t_grid, dtype=float)
     if np.any(ts < 0.0) or np.any(ts > 1.0):
         raise DomainError("levels must lie in [0, 1]")
-    lam = spectral_gap(m, gap_options) if gap_options else spectral_gap(m)
+    lam = spectral_gap(m, gap_options)
     sigma = math.sqrt(m.variance)
     one = np.array([profile_1d(m, t) for t in ts])
     low = np.array([tensor_lower_bound(m, t, lam=lam) for t in ts])

@@ -97,17 +97,6 @@ class BumpFunction:
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(x)[0]
 
-    def scaled(self, factor: float) -> "BumpFunction":
-        return BumpFunction(
-            tuple(factor * b for b in self.coefficients), self.centers, self.widths
-        )
-
-    def atoms(self) -> list["BumpFunction"]:
-        return [
-            BumpFunction((1.0,), (c,), (w,))
-            for c, w in zip(self.centers, self.widths)
-        ]
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -198,10 +187,6 @@ class MeasureSpec:
         mass = integrate(lambda x: np.exp(self._raw_psi(x)[0]), -b, b,
                          rel_tol=1e-13, points=self._singular_points())
         return math.log(mass)
-
-    @property
-    def normalization(self) -> float:
-        return math.exp(self._log_norm)
 
     def _singular_points(self) -> tuple[float, ...]:
         if self.kind in ("exponential", "power"):
@@ -300,14 +285,6 @@ class MeasureSpec:
 
         b = self._raw_truncation(min(prob, 1.0 - prob, 1e-6) * 1e-3)
         return float(brentq(lambda x: self.cdf(x) - prob, -b, b, xtol=1e-12))
-
-    def cdf_quantile(self, x_or_p: float, direction: str) -> float:
-        """Spec-facing dispatcher: direction in {"cdf", "quantile"}."""
-        if direction == "cdf":
-            return self.cdf(x_or_p)
-        if direction == "quantile":
-            return self.quantile(x_or_p)
-        raise DomainError(f"unknown direction {direction!r}")
 
     # -- moments ------------------------------------------------------
 

@@ -1,8 +1,16 @@
-"""Grids, adaptive quadrature, tabulated densities and discrete convolution."""
+"""Grids, adaptive quadrature, tabulated densities and discrete convolution.
+
+Densities of weighted sums of independent factors come from one pipeline:
+each factor is tabulated on a symmetric grid of a common spacing
+(``Grid.covering``), and ``_partial_sums`` folds the factors left to right,
+convolving by ``numpy.fft`` (``_convolve``), renormalizing, trimming the
+negligible tails and checking that no partial sum reaches its grid boundary.
+Projections, ``self_convolve_scaled`` and the CLT traces all take their
+densities from that one loop.
+"""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +99,16 @@ class Grid:
     def symmetric_grid(b: float, n: int) -> "Grid":
         return Grid(-b, b, n)
 
+    @staticmethod
+    def covering(b: float, h: float) -> "Grid":
+        """Smallest symmetric grid of spacing h that reaches +-b."""
+        n = 2 * max(1, int(np.ceil(b / h))) + 1
+        return Grid.symmetric_grid(h * (n - 1) / 2.0, n)
+
     def trapezoid_weights(self) -> np.ndarray:
         w = np.full(self.n, self.h)
         w[0] = w[-1] = self.h / 2.0
         return w
-
-    def refined(self) -> "Grid":
-        return Grid(self.a, self.b, 2 * self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -145,14 +156,6 @@ class TabulatedDensity:
         x = self.grid.nodes()
         return float(np.interp(t, c, x))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# grid a={self.grid.a:.17g} b={self.grid.b:.17g} n={self.grid.n}\n")
-        buf.write("x,value\n")
-        for xi, vi in zip(self.grid.nodes(), self.values):
-            buf.write(f"{xi:.17g},{vi:.17g}\n")
-        return buf.getvalue()
-
 
 def tabulate(m, g: Grid) -> TabulatedDensity:
     """Pointwise density samples of a measure on a grid."""
@@ -164,33 +167,30 @@ def _rescale(d: TabulatedDensity, w: float) -> TabulatedDensity:
     if w == 0.0:
         raise DomainError("zero weights are not allowed")
     aw = abs(w)
-    h = d.grid.h
-    b_new = aw * max(abs(d.grid.a), abs(d.grid.b))
-    n_new = 2 * max(1, int(np.ceil(b_new / h))) + 1
-    g = Grid.symmetric_grid(h * (n_new - 1) / 2.0, n_new)
-    x = g.nodes()
-    vals = d(x / w) / aw
-    return TabulatedDensity(g, vals)
+    g = Grid.covering(aw * max(abs(d.grid.a), abs(d.grid.b)), d.grid.h)
+    return TabulatedDensity(g, d(g.nodes() / w) / aw)
 
 
-def _convolve(d1: TabulatedDensity, d2: TabulatedDensity,
-              fast: bool = False) -> TabulatedDensity:
+def _convolve(d1: TabulatedDensity, d2: TabulatedDensity) -> TabulatedDensity:
+    """Density of X1 + X2 by zero-padded real FFTs; both grids share a spacing."""
     h = d1.grid.h
     if abs(d2.grid.h - h) > 1e-12 * h:
         raise DomainError("convolution requires matching grid spacing")
-    if fast:
-        from scipy.signal import fftconvolve
-        vals = fftconvolve(d1.values, d2.values) * h
-    else:
-        vals = np.convolve(d1.values, d2.values) * h
+    n = d1.grid.n + d2.grid.n - 1          # odd, as both counts are
+    size = 1 << (n - 1).bit_length()
+    spectrum = np.fft.rfft(d1.values, size) * np.fft.rfft(d2.values, size)
+    vals = np.fft.irfft(spectrum, size)[:n] * h
     a = d1.grid.a + d2.grid.a
-    n = len(vals)
-    g = Grid(a, a + h * (n - 1), n if n % 2 == 1 else n)  # n1+n2-1 is odd
-    return TabulatedDensity(g, np.clip(vals, 0.0, None))
+    return TabulatedDensity(Grid(a, a + h * (n - 1), n), np.clip(vals, 0.0, None))
 
 
-def _trim(d: TabulatedDensity, floor: float = 1e-16) -> TabulatedDensity:
-    """Drop symmetric tails below floor*max to keep grids desk-sized."""
+def _trim(d: TabulatedDensity, floor: float = 1e-15) -> TabulatedDensity:
+    """Drop symmetric tails below floor*max to keep grids desk-sized.
+
+    The floor sits above the round-off an FFT convolution leaves in the
+    tails (up to about 1e-16 of the peak); a floor at that level trims
+    nothing, and the grids of the CLT sums then grow linearly in N.
+    """
     v = d.values
     keep = np.nonzero(v > floor * v.max())[0]
     if len(keep) == 0:
@@ -206,13 +206,32 @@ def _trim(d: TabulatedDensity, floor: float = 1e-16) -> TabulatedDensity:
     return TabulatedDensity(g, vals)
 
 
+def _partial_sums(factors):
+    """Densities of X_1, X_1 + X_2, ... for independent factor densities.
+
+    The factors share one grid spacing.  Each partial sum is the previous
+    one convolved with the next factor, renormalized against mass drift and
+    trimmed; a partial sum whose end values exceed 1e-10 * max(peak, 1)
+    reaches its grid boundary and raises GridTooNarrow.
+    """
+    out: TabulatedDensity | None = None
+    for factor in factors:
+        out = factor if out is None else _convolve(out, factor).normalized()
+        out = _trim(out)
+        peak = out.values.max()
+        if max(out.values[0], out.values[-1]) > 1e-10 * max(peak, 1.0):
+            raise GridTooNarrow("convolution support reaches the grid boundary")
+        yield out
+
+
 def self_convolve_scaled(d: TabulatedDensity, n_copies: int,
                          weights) -> TabulatedDensity:
     """Density of sum_i w_i X_i for independent copies X_i of ``d``.
 
-    Each rescaled factor density is renormalized before convolving and the
-    running result is renormalized after every step to stop mass drift.
-    Raises GridTooNarrow when the result carries boundary mass above 1e-10.
+    The last partial sum of ``_partial_sums`` over the renormalized factor
+    densities of w_i X_i: FFT convolutions on the spacing of ``d``, each
+    renormalized and trimmed.  Raises GridTooNarrow when any partial sum
+    reaches its grid boundary.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (n_copies,):
@@ -220,12 +239,6 @@ def self_convolve_scaled(d: TabulatedDensity, n_copies: int,
     if not np.any(weights != 0.0):
         raise DomainError("weights must not all vanish")
     base = d.normalized()
-    out: TabulatedDensity | None = None
-    for w in weights:
-        factor = _rescale(base, w).normalized()
-        out = factor if out is None else _convolve(out, factor).normalized()
-        out = _trim(out)
-    peak = out.values.max()
-    if max(out.values[0], out.values[-1]) > 1e-10 * max(peak, 1.0):
-        raise GridTooNarrow("convolution support reaches the grid boundary")
+    for out in _partial_sums(_rescale(base, w).normalized() for w in weights):
+        pass
     return out

@@ -381,7 +381,7 @@ def _gap_single(m, b: float, n: int) -> float:
                                   eigvals_only=True)[0])
 
 
-def spectral_gap(m, opts: GapOptions = GapOptions()) -> float:
+def spectral_gap(m, opts: GapOptions | None = None) -> float:
     """Best Poincare constant of the measure.
 
     Solved on the truncated line; Richardson-extrapolated in the mesh size
@@ -389,6 +389,8 @@ def spectral_gap(m, opts: GapOptions = GapOptions()) -> float:
     continuous spectrum starts at the gap (exponential-type tails), where
     the truncated eigenvalue converges only like 1/b^2.
     """
+    if opts is None:
+        opts = GapOptions()
     b = opts.b if opts.b is not None else m.truncation_interval(opts.tail_mass)[1]
     n = opts.n
     if not opts.extrapolate:

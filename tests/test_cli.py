@@ -129,6 +129,18 @@ def test_usage_errors_exit_64(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["clt", "--grid-n", "8001"],
+    ["profile", "--tail-mass", "1e-10"],
+    ["envelope", "--solver-margin", "0.1"],
+    ["tensor-oracle", "--tail-mass", "1e-10"],
+])
+def test_flags_a_command_does_not_read_exit_64(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+
+
 def test_computation_error_exit_1(capsys):
     code, _, err = run(capsys, "spectral-gap", "--measure", "nope")
     assert code == 1

@@ -25,6 +25,7 @@ from prodiso.halfspace import (
     projection_density,
 )
 from prodiso.measures import MeasureSpec
+from prodiso.numerics import Grid, self_convolve_scaled, tabulate
 
 LOGISTIC = MeasureSpec.logistic()
 GAUSSIAN = MeasureSpec.gaussian(1.0)
@@ -160,6 +161,18 @@ def test_projection_density_variance():
     var = LOGISTIC.variance
     assert abs(d.variance() - var) < 1e-4
     assert abs(d.mean()) < 1e-10
+
+
+def test_projection_density_matches_self_convolve_scaled():
+    # one fold serves both: the same factors give the same values
+    hs = HalfSpace((0.6, -0.48, 0.64), 0.0)
+    h = 0.005
+    proj = projection_density([LOGISTIC] * 3, hs, h)
+    b = LOGISTIC.truncation_interval(1e-12)[1]
+    base = tabulate(LOGISTIC, Grid.covering(b, h))
+    out = self_convolve_scaled(base, 3, hs.v)
+    assert out.grid == proj.grid
+    assert np.max(np.abs(out.values - proj.values)) <= 1e-15
 
 
 def test_boundary_measure_coordinate_exact():

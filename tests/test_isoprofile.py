@@ -1,6 +1,10 @@
 """Isoperimetric profiles, the universal constant c and dimension-free bounds."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -93,6 +97,19 @@ def test_clt_validation():
         clt_upper_bound(LOGISTIC, 0.0, 4)
     with pytest.raises(DomainError):
         clt_upper_bound(LOGISTIC, 0.5, 129)
+
+
+def test_clt_trace_leaves_scipy_signal_unimported():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "import prodiso\n"
+            "prodiso.clt_upper_bound(prodiso.MeasureSpec.logistic(), 0.3, 4)\n"
+            "assert 'scipy.signal' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_envelope_ordering_and_serialization():

@@ -61,11 +61,11 @@ def test_trapezoid_weights():
     assert w[0] == w[-1] == g.h / 2
 
 
-def test_refined_nests():
-    g = Grid(0.0, 2.0, 5)
-    r = g.refined()
-    assert r.n == 9
-    assert set(np.round(g.nodes(), 12)) <= set(np.round(r.nodes(), 12))
+def test_covering_grid_keeps_spacing():
+    g = Grid.covering(3.01, 0.5)
+    assert g.symmetric and g.n == 15
+    assert g.b >= 3.01
+    assert abs(g.h - 0.5) < 1e-15
 
 
 def test_tabulated_density_basics():
@@ -104,9 +104,9 @@ def test_convolution_adds_mean_and_variance():
     c = _convolve(d, d).normalized()
     assert abs(c.mean()) < 1e-10
     assert abs(c.variance() - 2.0 * d.variance()) < 1e-6
-    # fast path agrees with the direct path
-    cf = _convolve(d, d, fast=True)
-    assert np.max(np.abs(cf.values - _convolve(d, d).values)) < 1e-12
+    # the FFT product agrees with a direct discrete convolution
+    direct = np.convolve(d.values, d.values) * g.h
+    assert np.max(np.abs(_convolve(d, d).values - direct)) < 1e-12
 
 
 def test_self_convolve_scaled_clt_normalization():
@@ -119,6 +119,16 @@ def test_self_convolve_scaled_clt_normalization():
     # Gaussian is stable: the normalized sum has the same density
     x = np.linspace(-3, 3, 31)
     assert np.max(np.abs(out(x) - d(x))) < 1e-6
+
+
+def test_partial_sums_stay_trimmed():
+    # FFT round-off in the tails must not stop the trim: the grid of a sum
+    # of 16 logistics stays a few factor widths wide, not 16
+    m = MeasureSpec.logistic()
+    d = tabulate(m, Grid.covering(m.truncation_interval(1e-12)[1], 0.01))
+    out = self_convolve_scaled(d, 16, [1.0] * 16)
+    assert out.grid.n < 3 * d.grid.n
+    assert abs(out.variance() - 16 * m.variance) < 1e-6 * 16 * m.variance
 
 
 def test_self_convolve_scaled_validation():
