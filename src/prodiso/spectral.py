@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dstebz
-from scipy.sparse.linalg import splu
+# bound only for bench/tracer.py to wrap, until ROADMAP item 5 retires both
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import (
     DomainError,
@@ -67,6 +67,7 @@ class EigenProblem:
         return self.grid.n
 
     def apply_stiffness(self, u: np.ndarray) -> np.ndarray:
+        """A u, along u's last axis."""
         return _tridiagonal_apply(self.diag, self.off, u)
 
 
@@ -196,18 +197,18 @@ def _row_scaling(big: np.ndarray) -> np.ndarray:
 
 def _tridiagonal_apply(diag: np.ndarray, off: np.ndarray,
                        u: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal (diag, off) times u along u's last axis."""
     out = diag * u
-    out[:-1] += off * u[1:]
-    out[1:] += off * u[:-1]
+    out[..., :-1] += off * u[..., 1:]
+    out[..., 1:] += off * u[..., :-1]
     return out
 
 
-def _tridiagonal_pencil(problem: EigenProblem) -> _Pencil:
-    """The 1-D pencil, factored by LAPACK: dgttrf solves, no negative pivot
-    when dpttrf succeeds, else dstebz's Sturm count."""
-    a, off, m = problem.diag, problem.off, problem.mass_diag
-    if len(problem.constraints) > 1:
-        raise DomainError("at most one linear constraint is supported")
+def _tridiagonal_pencil(a: np.ndarray, off: np.ndarray, m: np.ndarray,
+                        constraint: np.ndarray | None = None) -> _Pencil:
+    """The tridiagonal pencil (A, M), A = (a, off) and M = diag(m), factored
+    by LAPACK: dgttrf solves, no negative pivot when dpttrf succeeds, else
+    dstebz's Sturm count."""
     abs_a, abs_off = np.abs(a), np.abs(off)
     dsc = _row_scaling(np.maximum(abs_a, np.maximum(np.r_[abs_off, 0],
                                                     np.r_[0, abs_off])))
@@ -221,42 +222,12 @@ def _tridiagonal_pencil(problem: EigenProblem) -> _Pencil:
         neg = 0 if dpttrf(diag, so)[2] == 0 else _negative_pivots(diag, so)
         return (lambda r: dsc * dgttrs(*lu, dsc * r)[0]), neg
 
-    return _Pencil(factor, problem.apply_stiffness,
+    def apply(u):
+        return _tridiagonal_apply(a, off, u)
+
+    return _Pencil(factor, apply,
                    lambda u: _tridiagonal_apply(abs_a, abs_off, u), m,
-                   problem.constraints[0] if problem.constraints else None,
-                   _start_shift(a, problem.apply_stiffness(np.ones(len(a))),
-                                m))
-
-
-def _sparse_pencil(a: sp.spmatrix, mass: np.ndarray,
-                   constraint: np.ndarray | None) -> _Pencil:
-    """A sparse symmetric pencil, factored by SuperLU with a symmetric
-    permutation and diagonal pivots: then P S P^T = L U with U = D L^T, and
-    by Sylvester's law of inertia the negative pivots are the negative
-    entries of U's diagonal.  A factor that pivoted off the diagonal
-    (perm_r != perm_c) has no count."""
-    a = sp.csr_matrix(a)
-    abs_a = abs(a)
-    dsc = _row_scaling(abs_a.max(axis=1).toarray().ravel())
-    sa = sp.csc_matrix(sp.diags(dsc) @ a @ sp.diags(dsc))
-    sm = sp.diags(mass * dsc * dsc, format="csc")
-
-    def factor(sigma: float):
-        # panels of two columns factor these grid pencils about a fifth
-        # faster than SuperLU's default (n = 101-201, one BLAS thread)
-        try:
-            lu = splu(sa - sigma * sm, permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.0, panel_size=2,
-                      options={"SymmetricMode": True})
-        except RuntimeError:    # an exactly zero pivot
-            return None
-        if not np.array_equal(lu.perm_r, lu.perm_c):
-            return None
-        neg = int(np.count_nonzero(lu.U.diagonal() < 0.0))
-        return (lambda r: dsc * lu.solve(dsc * r)), neg
-
-    return _Pencil(factor, a.__matmul__, abs_a.__matmul__, mass, constraint,
-                   _start_shift(a.diagonal(), a @ np.ones(a.shape[0]), mass))
+                   constraint, _start_shift(a, apply(np.ones(len(a))), m))
 
 
 def _shift_invert(pencil: _Pencil, y: np.ndarray,
@@ -332,12 +303,18 @@ def _shift_invert(pencil: _Pencil, y: np.ndarray,
     else:
         raise NoConvergence("shift-invert iteration did not converge")
 
-    r = ay - rho * (m * y)
+    return EigenResult(np.array([rho]),
+                       np.array([_residual(ay, rho, m * y, c)]),
+                       y / np.max(np.abs(y)), grid, lo, solves)
+
+
+def _residual(au: np.ndarray, rho: float, mass_u: np.ndarray,
+              c: np.ndarray | None) -> float:
+    """|A u - rho M u| / |M u|, on the constraint space when there is one."""
+    r = au - rho * mass_u
     if c is not None:
         r -= c * ((c @ r) / (c @ c))
-    residual = float(np.linalg.norm(r) / np.linalg.norm(m * y))
-    return EigenResult(np.array([rho]), np.array([residual]),
-                       y / np.max(np.abs(y)), grid, lo, solves)
+    return float(np.linalg.norm(r) / np.linalg.norm(mass_u))
 
 
 def solve_smallest(problem: EigenProblem) -> EigenResult:
@@ -349,8 +326,12 @@ def solve_smallest(problem: EigenProblem) -> EigenResult:
     """
     # start near the usual minimizers: the constant without a constraint (the
     # ground state is positive), else the coordinate; the count guards the rest
+    if len(problem.constraints) > 1:
+        raise DomainError("at most one linear constraint is supported")
     y = problem.grid.nodes() if problem.constraints else np.ones(problem.n)
-    return _shift_invert(_tridiagonal_pencil(problem), y, problem.grid)
+    pencil = _tridiagonal_pencil(problem.diag, problem.off, problem.mass_diag,
+                                 *problem.constraints)
+    return _shift_invert(pencil, y, problem.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +522,49 @@ class TensorOracleResult:
     lambda_tau: float
     inconclusive: bool = False
     witness: np.ndarray | None = field(default=None, compare=False)
+    residual: float = field(default=math.nan, compare=False)
+
+
+_DECOUPLED = 1e-13    # per node: orthogonality and residual of Q, relative
+
+
+def _decoupled_pencil(x: EigenProblem, y: EigenProblem,
+                      weight: np.ndarray) -> tuple[_Pencil, np.ndarray]:
+    """The product pencil of two 1-D problems on x and y,
+
+        A2 = diag(weight) (x) A_x + A_y (x) M_x,   M2 = M_y (x) M_x,
+
+    with the constraint c_y (x) c_x, decoupled in x by fast diagonalization
+    (Lynch, Rice and Thomas 1964).  Vectors u are indexed (y, x), x fastest.
+
+    With Q, mu the eigenpairs of S = M_x^(-1/2) A_x M_x^(-1/2) and Phi =
+    M_x^(-1/2) Q, Phi^T A_x Phi = diag(mu) and Phi^T M_x Phi = I, so the
+    congruence I (x) Phi turns A2 - sigma M2 into the n_x tridiagonal blocks
+    mu_k diag(weight) + A_y - sigma M_y, stacked here k by k with zero
+    couplings at the joins; by Sylvester's law of inertia their count is the
+    product pencil's.  That holds while Phi is a congruence: NoConvergence
+    is raised unless Q is orthogonal and S Q = Q diag(mu), each to a
+    relative n_x * 1e-13.  Returns the pencil and Phi; the pencil's vector
+    v is u = (I (x) Phi) v, that is U = (Phi V)^T for V = v.reshape(n_x, -1).
+    """
+    s = 1.0 / np.sqrt(x.mass_diag)
+    d, e = x.diag * s * s, x.off * s[:-1] * s[1:]
+    mu, q = eigh_tridiagonal(d, e)
+    n = len(mu)
+    tol = _DECOUPLED * n
+    orthogonality = np.max(np.abs(q.T @ q - np.eye(n)))
+    residual = np.max(np.abs(_tridiagonal_apply(d, e, q.T)
+                             - mu[:, None] * q.T))
+    # |S| <= max|d| + 2 max|e| by Gershgorin
+    if orthogonality > tol or residual > tol * (np.max(np.abs(d))
+                                                + 2.0 * np.max(np.abs(e))):
+        raise NoConvergence("the x factor's eigenvectors are not a congruence")
+    phi = s[:, None] * q
+    pencil = _tridiagonal_pencil(
+        (mu[:, None] * weight + y.diag).ravel(),
+        np.tile(np.r_[y.off, 0.0], n)[:-1], np.tile(y.mass_diag, n),
+        np.outer(phi.T @ x.constraints[0], y.constraints[0]).ravel())
+    return pencil, phi
 
 
 def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
@@ -549,9 +573,11 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
 
     Solves  inf int |Du|^2 dtau dnu / int u^2 theta(y) dtau dnu  over
     product-mean-zero u on the (tau x nu) grid, by the certified solver on
-    the sparse 2-D pencil, and checks that the verdict "infimum >= 1"
-    matches (P1 and P2).  Near-threshold instances (within ``threshold`` of
-    1 on either side) count as inconclusive agreement.
+    the 2-D pencil decoupled in the tau factor, and checks that the verdict
+    "infimum >= 1" matches (P1 and P2).  The reported lambda_2d and its
+    ``residual`` are those of the eigenvector on the assembled 2-D operator.
+    Near-threshold instances (within ``threshold`` of 1 on either side)
+    count as inconclusive agreement.
     """
     if grid.n > budget:
         raise OutOfBudget(f"product grid {grid.n}x{grid.n} exceeds budget")
@@ -571,19 +597,26 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
     if _theta_mass(theta, nu, grid) < _THETA_ZERO_MASS:
         return TensorOracleResult(math.inf, True, p1, p2, lambda_tau, True)
 
-    trap = grid.trapezoid_weights()
-    prob_nu = assemble(nu, nu, grid)
-    ax = sp.diags([prob_tau.off, prob_tau.diag, prob_tau.off], [-1, 0, 1])
-    ay = sp.diags([prob_nu.off, prob_nu.diag, prob_nu.off], [-1, 0, 1])
-    a2 = sp.kron(sp.diags(nu * trap), ax) + sp.kron(ay, sp.diags(tau * trap))
-    mass2 = np.outer(theta * nu * trap, tau * trap).ravel()
-    c2 = np.outer(nu * trap, tau * trap).ravel()
+    prob_nu = assemble(nu, theta * nu, grid, constraint_weight=nu)
+    nu_w, tau_w = prob_nu.constraints[0], prob_tau.mass_diag
+    pencil, phi = _decoupled_pencil(prob_tau, prob_nu, nu_w)
     # start from the sum of the coordinates, which has parts along both
-    # separable candidates, the P1 mode v(y) and the P2 mode v(y) phi_1(x)
+    # separable candidates, the P1 mode v(y) and the P2 mode v(y) phi_1(x);
+    # (I (x) Phi)^-1 = I (x) Phi^T M_x
     x = grid.nodes()
-    res = _shift_invert(_sparse_pencil(a2, mass2, c2),
-                        np.add.outer(x, x).ravel())
-    lam2d, vec = float(res.eigenvalues[0]), res.eigenvector
+    v0 = (phi.T * tau_w) @ np.add.outer(x, x).T
+    v = _shift_invert(pencil, v0.ravel()).eigenvector.reshape(grid.n, grid.n)
+
+    # the Rayleigh quotient and residual on the assembled operator, with
+    # A2 and M2 applied along each axis
+    u = (phi @ v).T
+    c2 = np.outer(nu_w, tau_w)
+    u -= c2 * (np.sum(c2 * u) / np.sum(c2 * c2))
+    au = (nu_w[:, None] * prob_tau.apply_stiffness(u)
+          + prob_nu.apply_stiffness(u.T).T * tau_w)
+    mass_u = np.outer(prob_nu.mass_diag, tau_w) * u
+    lam2d = float(np.sum(u * au) / np.sum(u * mass_u))
+    residual = _residual(au.ravel(), lam2d, mass_u.ravel(), c2.ravel())
 
     verdict_2d = lam2d >= 1.0
     verdict_1d = p1.holds and p2.holds
@@ -592,9 +625,10 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
             or abs(p2.value - 1.0) <= threshold)
     agrees = verdict_2d == verdict_1d or near
     return TensorOracleResult(
-        float(lam2d), bool(agrees), p1, p2, lambda_tau,
+        lam2d, bool(agrees), p1, p2, lambda_tau,
         inconclusive=bool(near and verdict_2d != verdict_1d),
-        witness=None if agrees else vec.reshape(grid.n, grid.n))
+        witness=None if agrees else u / np.max(np.abs(u)),
+        residual=residual)
 
 
 def random_oracle_instance(rng: np.random.Generator,

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodiso import spectral
 from prodiso.errors import (
@@ -22,9 +24,9 @@ from prodiso.perturb import design_bump, eigen_curves
 from prodiso.spectral import (
     GapOptions,
     _crop_support,
+    _decoupled_pencil,
     _gap_single,
     _shift_invert,
-    _sparse_pencil,
     _tridiagonal_pencil,
     assemble,
     brascamp_lieb_residual,
@@ -128,8 +130,10 @@ def test_certificate_recovers_from_even_start():
     w = m.density(grid.nodes())
     prob = assemble(w, w, grid, constraint_weight=w)
     expect = solve_smallest(prob).eigenvalues[0]
+    pencil = _tridiagonal_pencil(prob.diag, prob.off, prob.mass_diag,
+                                 *prob.constraints)
     for y0 in (np.ones(grid.n), grid.nodes() ** 2):
-        res = _shift_invert(_tridiagonal_pencil(prob), y0)
+        res = _shift_invert(pencil, y0)
         assert abs(res.eigenvalues[0] - expect) < 1e-9
         assert res.lower_bound <= res.eigenvalues[0]
         v = res.eigenvector
@@ -290,67 +294,95 @@ def test_brascamp_lieb_requires_convexity():
         brascamp_lieb_residual(m, lambda x: np.asarray(x))
 
 
-def _product_pencil(n=21):
-    # the oracle's pencil for two Gaussians and a non-constant theta, small
-    # enough for a dense reference
-    grid = Grid.symmetric_grid(5.0, n)
+def _product_pencil(nu, tau, theta, grid):
+    # the oracle's decoupled pencil with its assembled 2-D counterpart, as
+    # a dense reference: A2, the diagonal of M2, c2 and the start vector
     x = grid.nodes()
-    nu, tau = np.exp(-0.5 * x ** 2), np.exp(-0.5 * (x / 1.3) ** 2)
-    theta = 1.0 + 0.3 * np.cos(x)
-    trap = grid.trapezoid_weights()
+    px = assemble(tau, tau, grid, constraint_weight=tau)
+    py = assemble(nu, theta * nu, grid, constraint_weight=nu)
+    pencil, phi = _decoupled_pencil(px, py, py.constraints[0])
 
     def tri(p):
         return sp.diags([p.off, p.diag, p.off], [-1, 0, 1])
 
-    a2 = (sp.kron(sp.diags(nu * trap), tri(assemble(tau, tau, grid)))
-          + sp.kron(tri(assemble(nu, nu, grid)), sp.diags(tau * trap)))
-    mass2 = np.outer(theta * nu * trap, tau * trap).ravel()
-    c2 = np.outer(nu * trap, tau * trap).ravel()
-    return a2, mass2, c2, np.add.outer(x, x).ravel()
+    a2 = (sp.kron(sp.diags(py.constraints[0]), tri(px))
+          + sp.kron(tri(py), sp.diags(px.mass_diag))).toarray()
+    mass2 = np.outer(py.mass_diag, px.mass_diag).ravel()
+    c2 = np.outer(py.constraints[0], px.constraints[0]).ravel()
+    v0 = (phi.T * px.mass_diag) @ np.add.outer(x, x).T
+    return pencil, a2, mass2, c2, v0.ravel()
+
+
+def _scaled(a2, mass2):
+    # M2^(-1/2) A2 M2^(-1/2): the tails' stiffness and mass scale together,
+    # so its entries stay of order 1/h^2 where M2 spans many decades
+    s = 1.0 / np.sqrt(mass2)
+    return s[:, None] * a2 * s
+
+
+def _constrained_reference(a2, mass2, c2):
+    q = scipy.linalg.null_space((c2 / np.sqrt(mass2))[None, :])
+    return scipy.linalg.eigh(q.T @ _scaled(a2, mass2) @ q, eigvals_only=True,
+                             subset_by_index=(0, 0))[0]
 
 
 def test_product_pencil_is_certified():
-    a2, mass2, c2, y0 = _product_pencil()
-    pencil = _sparse_pencil(a2, mass2, c2)
-    res = _shift_invert(pencil, y0)
+    # two Gaussians and a non-constant theta, small enough for a dense
+    # reference; tau off-centre, so that every x mode meets the constraint
+    grid = Grid.symmetric_grid(5.0, 21)
+    x = grid.nodes()
+    pencil, a2, mass2, c2, v0 = _product_pencil(
+        np.exp(-0.5 * x ** 2), np.exp(-0.5 * ((x - 0.8) / 1.3) ** 2),
+        1.0 + 0.3 * np.cos(x), grid)
+    res = _shift_invert(pencil, v0)
     lam = res.eigenvalues[0]
     assert res.lower_bound <= lam <= res.lower_bound + 1e-9 * lam
-    q = scipy.linalg.null_space(c2[None, :])
-    ref = scipy.linalg.eigh(q.T @ a2.toarray() @ q, (q.T * mass2) @ q,
-                            eigvals_only=True, subset_by_index=(0, 0))[0]
+    ref = _constrained_reference(a2, mass2, c2)
     assert res.lower_bound <= ref * (1 + 1e-12)
     assert lam >= ref * (1 - 1e-12)
-    # U's negative diagonal entries count the pencil's eigenvalues below
-    # the shift (Sylvester)
-    ev = scipy.linalg.eigh(a2.toarray(), np.diag(mass2), eigvals_only=True)
+    # the blocks' negative pivots count the assembled pencil's eigenvalues
+    # below the shift (Sylvester)
+    ev = scipy.linalg.eigvalsh(_scaled(a2, mass2))
     for sigma in (pencil.lo, 0.5 * (ev[1] + ev[2]), 0.5 * (ev[6] + ev[7])):
         assert pencil.factor(sigma)[1] == np.count_nonzero(ev < sigma)
     # a start shift above the eigenvalue fails its count
     with pytest.raises(NoConvergence):
-        _shift_invert(pencil._replace(lo=2.0 * lam), y0)
+        _shift_invert(pencil._replace(lo=2.0 * lam), v0)
 
 
-def test_product_pencil_refuses_off_diagonal_pivots(monkeypatch):
-    a2, mass2, c2, y0 = _product_pencil()
-    pencil = _sparse_pencil(a2, mass2, c2)
-    assert pencil.factor(pencil.lo) is not None
+def test_decoupling_refuses_a_non_congruence(monkeypatch):
+    # the count is the 2-D one only while Phi is a congruence; eigenvectors
+    # off by 1e-9 must be refused, not used
+    eigh_tridiagonal = spectral.eigh_tridiagonal
 
-    class Pivoted:
-        """A factor whose row permutation differs from its column one."""
+    def perturbed(*args, **kwargs):
+        mu, q = eigh_tridiagonal(*args, **kwargs)
+        return mu, q + 1e-9 * np.cos(np.arange(q.size)).reshape(q.shape)
 
-        def __init__(self, lu):
-            self._lu = lu
-            self.perm_r = np.roll(lu.perm_r, 1)
-
-        def __getattr__(self, name):
-            return getattr(self._lu, name)
-
-    splu = spectral.splu
-    monkeypatch.setattr(spectral, "splu",
-                        lambda *a, **k: Pivoted(splu(*a, **k)))
-    assert pencil.factor(pencil.lo) is None
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", perturbed)
     with pytest.raises(NoConvergence):
-        _shift_invert(pencil, y0)
+        tensor_oracle_2d(*random_oracle_instance(np.random.default_rng(3)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.sampled_from(range(5, 26, 2)))
+def test_random_product_pencils(seed, n):
+    nu, tau, theta, grid = random_oracle_instance(np.random.default_rng(seed),
+                                                  n)
+    r = tensor_oracle_2d(nu, tau, theta, grid)
+    expect = min(r.p1.value, r.p2.value)
+    assert abs(r.lambda_2d - expect) <= 1e-9 * expect
+    assert r.residual <= 1e-10
+    # the certified bracket of the pencil the oracle solves contains the
+    # dense reference
+    grid, nu, tau, theta = _crop_support(nu, grid, tau, theta)
+    grid, tau, nu, theta = _crop_support(tau, grid, nu, theta)
+    pencil, a2, mass2, c2, v0 = _product_pencil(nu, tau, theta, grid)
+    res = _shift_invert(pencil, v0)
+    ref = _constrained_reference(a2, mass2, c2)
+    assert res.lower_bound <= ref * (1 + 1e-9)
+    assert res.eigenvalues[0] >= ref * (1 - 1e-9)
 
 
 def _logistic_bisector_instance():
