@@ -10,6 +10,7 @@ the central limit theorem.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -51,8 +52,10 @@ def compute_c_maximizer() -> float:
     return float(brentq(foc, 0.1, 2.0, xtol=1e-15, rtol=8.9e-16))
 
 
+@functools.cache
 def compute_c() -> float:
-    """The universal profile constant sup_{u>0} (1 - e^{-2u}) / (2 sqrt(u))."""
+    """The universal profile constant sup_{u>0} (1 - e^{-2u}) / (2 sqrt(u)),
+    computed once per process."""
     u = compute_c_maximizer()
     return (1.0 - math.exp(-2.0 * u)) / (2.0 * math.sqrt(u))
 

@@ -171,13 +171,28 @@ def _rescale(d: TabulatedDensity, w: float) -> TabulatedDensity:
     return TabulatedDensity(g, d(g.nodes() / w) / aw)
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: numpy.fft's radix-2, 3 and 5 lengths,
+    never more than the next power of two and often far less."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:
+            # the smallest power-of-two multiple of odd that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve(d1: TabulatedDensity, d2: TabulatedDensity) -> TabulatedDensity:
     """Density of X1 + X2 by zero-padded real FFTs; both grids share a spacing."""
     h = d1.grid.h
     if abs(d2.grid.h - h) > 1e-12 * h:
         raise DomainError("convolution requires matching grid spacing")
     n = d1.grid.n + d2.grid.n - 1          # odd, as both counts are
-    size = 1 << (n - 1).bit_length()
+    size = _fft_length(n)
     spectrum = np.fft.rfft(d1.values, size) * np.fft.rfft(d2.values, size)
     vals = np.fft.irfft(spectrum, size)[:n] * h
     a = d1.grid.a + d2.grid.a

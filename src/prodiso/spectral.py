@@ -5,20 +5,24 @@ by a finite-volume scheme with Neumann boundary.  One certified solver
 handles every resulting pencil, shifted or restricted to a single linear
 constraint (zero weighted mean): shift-invert iteration with the
 constraint eliminated by the Schur complement, and an LDL^T inertia count
-that certifies the eigenvalue as the smallest admissible one.  The 1-D
-pencils are factored by tridiagonal LAPACK, the 2-D oracle's by sparse
-symmetric SuperLU.  The spectral gap, whose mass equals its stiffness
-weight, keeps LAPACK bisection on the mass-scaled matrix.
+that certifies the eigenvalue as the smallest admissible one.  Every
+pencil is factored by tridiagonal LAPACK: the 1-D pencils directly, the
+2-D oracle's after fast diagonalization in one factor splits it into
+tridiagonal blocks.  The spectral gap, whose mass equals its stiffness
+weight, keeps LAPACK bisection on the mass-scaled matrix and is memoized
+per (measure, options).
 
 Also hosts the weighted-tensorization condition checks, a Brascamp-Lieb
-residual evaluator, and a sparse 2-D product-grid oracle that cross-checks
-the 1-D conditions against the genuinely two-dimensional eigenvalue.
+residual evaluator, and a 2-D product-grid oracle that cross-checks the
+1-D conditions against the genuinely two-dimensional eigenvalue.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -362,6 +366,22 @@ def _gap_single(m, b: float, n: int) -> float:
                                   eigvals_only=True)[0])
 
 
+_GAP_MEMO_SIZE = 128    # (measure, options) pairs whose gaps are kept
+
+
+def _hashable(value) -> bool:
+    """Whether hash(value) succeeds, decided without calling it: a tuple
+    hashes when its items do, a dataclass when it is frozen and its hashed
+    fields hash, anything else when its type defines __hash__."""
+    if isinstance(value, tuple):
+        return all(map(_hashable, value))
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return value.__dataclass_params__.frozen and all(
+            _hashable(getattr(value, f.name)) for f in dataclasses.fields(value)
+            if (f.compare if f.hash is None else f.hash))
+    return isinstance(value, Hashable)
+
+
 def spectral_gap(m, opts: GapOptions | None = None) -> float:
     """Best Poincare constant of the measure.
 
@@ -369,9 +389,23 @@ def spectral_gap(m, opts: GapOptions | None = None) -> float:
     and in the truncation length.  The latter matters for measures whose
     continuous spectrum starts at the gap (exponential-type tails), where
     the truncated eigenvalue converges only like 1/b^2.
+
+    The gap depends on the measure and the options alone, so it is
+    memoized per (measure, options) pair: equal pairs share one entry, and
+    ``None`` stands for ``GapOptions()``.  The memo keeps the 128 most
+    recently used pairs.  A measure that cannot be hashed, such as a
+    custom one whose potential defines ``__eq__`` without ``__hash__``,
+    is computed on every call.
     """
     if opts is None:
         opts = GapOptions()
+    if _hashable((m, opts)):
+        return _spectral_gap(m, opts)
+    return _spectral_gap.__wrapped__(m, opts)
+
+
+@functools.lru_cache(maxsize=_GAP_MEMO_SIZE)
+def _spectral_gap(m, opts: GapOptions) -> float:
     b = opts.b if opts.b is not None else m.truncation_interval(opts.tail_mass)[1]
     n = opts.n
     if not opts.extrapolate:

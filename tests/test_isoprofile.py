@@ -106,7 +106,8 @@ def test_clt_trace_leaves_scipy_signal_unimported():
     code = ("import sys\n"
             "import prodiso\n"
             "prodiso.clt_upper_bound(prodiso.MeasureSpec.logistic(), 0.3, 4)\n"
-            "assert 'scipy.signal' not in sys.modules\n")
+            "assert 'scipy.signal' not in sys.modules\n"
+            "assert 'scipy.fft' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prodiso.errors import DomainError, GridTooNarrow
 from prodiso.measures import MeasureSpec
@@ -11,6 +13,7 @@ from prodiso.numerics import (
     Grid,
     TabulatedDensity,
     _convolve,
+    _fft_length,
     _rescale,
     _trim,
     integrate,
@@ -119,6 +122,19 @@ def test_self_convolve_scaled_clt_normalization():
     # Gaussian is stable: the normalized sum has the same density
     x = np.linspace(-3, 3, 31)
     assert np.max(np.abs(out(x) - d(x))) < 1e-6
+
+
+_SMOOTH = sorted(2 ** a * 3 ** b * 5 ** c for a in range(25)
+                 for b in range(16) for c in range(11)
+                 if 2 ** a * 3 ** b * 5 ** c <= 2 ** 24)
+
+
+@given(n=st.integers(1, 2 ** 23))
+def test_fft_length_is_the_next_5_smooth(n):
+    size = _fft_length(n)
+    # the smallest 5-smooth length >= n, from a table of all of them
+    assert size == next(k for k in _SMOOTH if k >= n)
+    assert size <= 1 << (n - 1).bit_length()
 
 
 def test_partial_sums_stay_trimmed():

@@ -98,6 +98,72 @@ def test_power_law_gap_in_remark_bracket():
     assert abs(lam - 2.7371850) < 1e-3
 
 
+def _count_gap_singles(monkeypatch) -> list:
+    """Clear the gap memo and record every _gap_single call from here on."""
+    spectral._spectral_gap.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _gap_single(*args)
+
+    monkeypatch.setattr(spectral, "_gap_single", counted)
+    return calls
+
+
+def test_gap_memo_shares_equal_specs(monkeypatch):
+    calls = _count_gap_singles(monkeypatch)
+    opts = GapOptions(n=401)
+    first = spectral_gap(MeasureSpec.logistic(), opts)
+    assert len(calls) == 4
+    # an equal but distinct spec and options object hit the same entry
+    assert spectral_gap(MeasureSpec.logistic(), GapOptions(n=401)) is first
+    bump = design_bump()[0]
+    bumped = spectral_gap(MeasureSpec.gaussian_bump(0.02, bump), opts)
+    assert spectral_gap(MeasureSpec.gaussian_bump(0.02, bump), opts) is bumped
+    assert len(calls) == 8
+
+
+def test_gap_memo_keys_on_options(monkeypatch):
+    calls = _count_gap_singles(monkeypatch)
+    m = MeasureSpec.gaussian(2.0)
+    # None stands for the default options and shares their entry
+    default = spectral_gap(m)
+    assert spectral_gap(m, GapOptions()) is default
+    assert len(calls) == 4
+    assert spectral._spectral_gap.cache_info().currsize == 1
+    # other options miss
+    spectral_gap(m, GapOptions(n=401))
+    assert len(calls) == 8
+    spectral_gap(m, GapOptions(extrapolate=False))
+    assert len(calls) == 9
+    assert spectral._spectral_gap.cache_info().currsize == 3
+
+
+class _UnhashablePotential:
+    """A Gaussian potential that compares by value and so has no hash."""
+
+    def __eq__(self, other):
+        return isinstance(other, _UnhashablePotential)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return x * x / 2.0, x, np.ones_like(x)
+
+
+def test_gap_memo_skips_unhashable_measures(monkeypatch):
+    calls = _count_gap_singles(monkeypatch)
+    m = MeasureSpec.custom(_UnhashablePotential(), symmetric=True)
+    with pytest.raises(TypeError):
+        hash(m)
+    opts = GapOptions(n=401)
+    lam = spectral_gap(m, opts)
+    assert abs(lam - spectral_gap(MeasureSpec.gaussian(1.0), opts)) < 1e-6
+    assert spectral_gap(m, opts) == lam
+    assert len(calls) == 12
+    assert spectral._spectral_gap.cache_info().currsize == 1
+
+
 def test_solver_rejects_two_constraints():
     m = MeasureSpec.gaussian(1.0)
     grid = Grid.symmetric_grid(8.0, 801)
