@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 from .errors import DomainError, NotLogConcave
 from .measures import MeasureSpec
-from .numerics import Grid, _partial_sums, tabulate
+from .numerics import Grid, _bracketed_newton, _partial_sums, tabulate
 from .spectral import GapOptions, spectral_gap
 
 
@@ -37,19 +37,24 @@ def profile_1d(m: MeasureSpec, t: float) -> float:
     if m.kind == "gaussian":
         z = ndtri(t)
         return float(math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / m.sigma)
+    if m.symmetric:
+        # f(F^{-1}(1 - t)) = f(F^{-1}(t)): one half-line suffices
+        return float(m.density(m.quantile(t)))
     lo = m.density(m.quantile(t))
     hi = m.density(m.quantile(1.0 - t))
     return float(min(lo, hi))
 
 
 def compute_c_maximizer() -> float:
-    """Argmax of (1 - e^{-2u}) / (2 sqrt(u)), from its first-order condition."""
-    from scipy.optimize import brentq  # slow to import; needed only here
+    """Argmax of (1 - e^{-2u}) / (2 sqrt(u)), from its first-order condition.
 
-    def foc(u: float) -> float:
+    The condition 4u e^{-2u} - 1 + e^{-2u} = 0 has derivative
+    e^{-2u} (2 - 8u) and decreases on [1/4, 2], where it changes sign.
+    """
+    def minus_foc(u: float) -> tuple[float, float]:
         e = math.exp(-2.0 * u)
-        return 4.0 * u * e - 1.0 + e
-    return float(brentq(foc, 0.1, 2.0, xtol=1e-15, rtol=8.9e-16))
+        return 1.0 - e - 4.0 * u * e, e * (8.0 * u - 2.0)
+    return _bracketed_newton(minus_foc, 0.25, 2.0, 0.5, 0.0)
 
 
 @functools.cache

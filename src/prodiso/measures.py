@@ -5,6 +5,14 @@ together with structural flags (symmetry, log-concavity) that downstream
 classification routines rely on.  Built-in kinds: logistic, Gaussian,
 two-sided exponential, power-law ``exp(-|x|^p)``, Gaussian-with-bump
 perturbation, and user-supplied potentials.
+
+Logistic, Gaussian and two-sided exponential measures have closed-form CDFs
+and quantiles.  The other kinds share one cached two-sided CDF table per
+measure (``MeasureSpec._cdf_table``): Gauss panels on the truncation
+interval with the mass below and above each node.  ``cdf`` adds one Gauss
+rule on the panel holding ``x``; ``quantile`` inverts the table on the side
+of the smaller tail by Newton steps with the density, kept inside the
+panel's bracket, so tail quantiles keep their relative accuracy.
 """
 
 from __future__ import annotations
@@ -13,20 +21,37 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NonDifferentiablePoint
-from .numerics import integrate
+from .numerics import _WH, _WL, _XH, _XL, _bracketed_newton, integrate
 
 STRICTLY_LOG_CONCAVE = "strictly_log_concave"
 LOG_CONCAVE = "log_concave"
 UNKNOWN = "unknown"
 
 _DEFAULT_TAIL = 1e-12
+
+# The CDF table: mass left outside [-b, b], Gauss panels per segment between
+# singular points, the embedded-pair disagreement above which a panel is
+# integrated adaptively (masses are normalized, so it is absolute), and the
+# tolerance of that adaptive quadrature.
+_TABLE_TAIL = 1e-30
+_TABLE_PANELS = 64
+_PANEL_PAIR_TOL = 1e-16
+_PANEL_REL_TOL = 1e-14
+
+
+class _CdfTable(NamedTuple):
+    nodes: np.ndarray      # panel ends on [-b, b], singular points among them
+    lower: np.ndarray      # normalized mass below each node
+    upper: np.ndarray      # normalized mass above each node
+    adaptive: np.ndarray   # panels whose Gauss pair disagreed
+    total: float           # tabulated mass of the density
 
 
 def _mollifier(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,6 +282,51 @@ class MeasureSpec:
 
     # -- cdf / quantile -----------------------------------------------
 
+    @cached_property
+    def _cdf_table(self) -> _CdfTable:
+        """Panel nodes on the 1e-30 truncation interval and the masses below
+        and above each node, for the kinds without a closed-form CDF.
+
+        The density is evaluated for every panel in one call on a flat
+        array; a panel whose 21/10-point Gauss pair disagrees by more than
+        ``_PANEL_PAIR_TOL`` is integrated adaptively and remembered, so that
+        ``_panel_mass`` integrates adaptively there too.
+        """
+        b = self._raw_truncation(_TABLE_TAIL)
+        cuts = [-b, *(s for s in self._singular_points() if -b < s < b), b]
+        nodes = np.concatenate(
+            [np.linspace(lo, hi, _TABLE_PANELS + 1)[:-1]
+             for lo, hi in zip(cuts, cuts[1:])] + [[b]])
+        c = 0.5 * (nodes[1:] + nodes[:-1])
+        r = 0.5 * (nodes[1:] - nodes[:-1])
+        f = self.density((c[:, None] + r[:, None] * np.concatenate([_XH, _XL]))
+                         .ravel()).reshape(len(c), -1)
+        mass = r * (f[:, :len(_XH)] @ _WH)
+        adaptive = np.abs(mass - r * (f[:, len(_XH):] @ _WL)) > _PANEL_PAIR_TOL
+        for j in np.nonzero(adaptive)[0]:
+            mass[j] = integrate(self.density, nodes[j], nodes[j + 1],
+                                rel_tol=_PANEL_REL_TOL)
+        total = float(mass.sum())
+        lower = np.concatenate([[0.0], np.cumsum(mass)]) / total
+        upper = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]]) / total
+        return _CdfTable(nodes, lower, upper, adaptive, total)
+
+    def _panel_mass(self, j: int, x: float, upper: bool) -> tuple[float, float]:
+        """(F(x), or 1 - F(x) if ``upper``, and the density at x) for x in
+        table panel j: the table entry at the panel end on that side plus one
+        Gauss rule from there to x, adaptive quadrature on remembered panels."""
+        t = self._cdf_table
+        a = t.nodes[j + 1] if upper else t.nodes[j]
+        base = t.upper[j + 1] if upper else t.lower[j]
+        if t.adaptive[j]:
+            part = integrate(self.density, min(a, x), max(a, x),
+                             rel_tol=_PANEL_REL_TOL)
+            return base + part / t.total, self.density(x)
+        c = 0.5 * (a + x)
+        r = 0.5 * abs(x - a)
+        f = self.density(np.append(c + r * _XH, x))
+        return base + r * float(f[:-1] @ _WH) / t.total, float(f[-1])
+
     def cdf(self, x: float) -> float:
         if self.kind == "logistic":
             return float(1.0 / (1.0 + np.exp(-x)))
@@ -264,13 +334,15 @@ class MeasureSpec:
             return float(ndtr(x / self.sigma))
         if self.kind == "exponential":
             return 0.5 * math.exp(x) if x < 0 else 1.0 - 0.5 * math.exp(-x)
-        b = self._raw_truncation(1e-15)
-        if x <= -b:
+        t = self._cdf_table
+        if x <= t.nodes[0]:
             return 0.0
-        if x >= b:
+        if x >= t.nodes[-1]:
             return 1.0
-        pts = tuple(p for p in self._singular_points() if -b < p < x)
-        return float(integrate(self.density, -b, x, rel_tol=1e-12, points=pts))
+        j = int(np.searchsorted(t.nodes, x, side="right")) - 1
+        upper = bool(t.lower[j] >= 0.5)
+        mass = self._panel_mass(j, float(x), upper)[0]
+        return 1.0 - mass if upper else mass
 
     def quantile(self, prob: float) -> float:
         if not 0.0 < prob < 1.0:
@@ -281,10 +353,21 @@ class MeasureSpec:
             return float(self.sigma * ndtri(prob))
         if self.kind == "exponential":
             return math.log(2.0 * prob) if prob <= 0.5 else -math.log(2.0 * (1.0 - prob))
-        from scipy.optimize import brentq  # slow to import; needed only here
+        # invert the smaller tail's table: 1 - prob is exact for prob > 1/2
+        t = self._cdf_table
+        upper = prob > 0.5
+        target = 1.0 - prob if upper else prob
+        sign = -1.0 if upper else 1.0     # sign * (mass - target) rises with x
+        masses = t.upper if upper else t.lower
+        j = int(np.searchsorted(sign * masses, sign * target, side="right")) - 1
+        lo, hi = t.nodes[j], t.nodes[j + 1]
 
-        b = self._raw_truncation(min(prob, 1.0 - prob, 1e-6) * 1e-3)
-        return float(brentq(lambda x: self.cdf(x) - prob, -b, b, xtol=1e-12))
+        def residual(x: float) -> tuple[float, float]:
+            mass, fx = self._panel_mass(j, x, upper)
+            return sign * (mass - target), fx
+
+        x = lo + (target - masses[j]) / (masses[j + 1] - masses[j]) * (hi - lo)
+        return float(_bracketed_newton(residual, lo, hi, x, 4.0 * math.ulp(target)))
 
     # -- moments ------------------------------------------------------
 

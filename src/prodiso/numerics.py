@@ -11,6 +11,7 @@ densities from that one loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,34 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
         stack.append((lo, mid, depth + 1))
         stack.append((mid, hi, depth + 1))
     return acc
+
+
+def _bracketed_newton(fun, lo: float, hi: float, x: float, tol: float,
+                      max_steps: int = 60) -> float:
+    """Root in [lo, hi] of an increasing ``fun``, by Newton steps from x.
+
+    ``fun(x)`` returns (value, derivative).  Every evaluation narrows the
+    bracket, and a step that leaves it is replaced by bisection.  Stops when
+    |value| <= tol or when the step or the bracket reaches round-off;
+    raises NoConvergence after ``max_steps`` evaluations.
+    """
+    for _ in range(max_steps):
+        val, der = fun(x)
+        if abs(val) <= tol:
+            return x
+        if val > 0.0:
+            hi = x
+        else:
+            lo = x
+        nx = x - val / der if der > 0.0 else math.nan
+        if abs(nx - x) <= 4.0 * math.ulp(x):
+            return nx
+        if not lo < nx < hi:
+            nx = 0.5 * (lo + hi)
+        if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
+            return nx
+        x = nx
+    raise NoConvergence(f"Newton iteration did not converge in [{lo!r}, {hi!r}]")
 
 
 @dataclass(frozen=True)

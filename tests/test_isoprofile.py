@@ -107,10 +107,45 @@ def test_clt_trace_leaves_scipy_signal_unimported():
             "import prodiso\n"
             "prodiso.clt_upper_bound(prodiso.MeasureSpec.logistic(), 0.3, 4)\n"
             "assert 'scipy.signal' not in sys.modules\n"
-            "assert 'scipy.fft' not in sys.modules\n")
+            "assert 'scipy.fft' not in sys.modules\n"
+            "m = prodiso.MeasureSpec.power_law(4.0)\n"
+            "prodiso.profile_envelope(m, [0.0, 0.2, 0.5, 0.9, 1.0])\n"
+            "prodiso.profile_1d(prodiso.MeasureSpec.power_law(1.5), 0.3)\n"
+            "assert 'scipy.optimize' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_warm_power_envelope_density_budget(monkeypatch):
+    m = MeasureSpec.power_law(4.0)
+    ts = np.linspace(0.0, 1.0, 101)
+    profile_envelope(m, ts)
+    density = MeasureSpec.density
+    calls = []
+
+    def counting(self, x):
+        calls.append(1)
+        return density(self, x)
+
+    monkeypatch.setattr(MeasureSpec, "density", counting)
+    profile_envelope(m, ts)
+    assert len(calls) < 2000
+
+
+def test_symmetric_profile_uses_one_quantile(monkeypatch):
+    m = MeasureSpec.power_law(3.0)
+    quantile = MeasureSpec.quantile
+    levels = []
+
+    def recording(self, prob):
+        levels.append(prob)
+        return quantile(self, prob)
+
+    monkeypatch.setattr(MeasureSpec, "quantile", recording)
+    v = profile_1d(m, 0.2)
+    assert levels == [0.2]
+    assert abs(v - m.density(quantile(m, 0.8))) <= 1e-14 * v
 
 
 def test_envelope_ordering_and_serialization():

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammainccinv
 
 from prodiso.errors import DomainError, NonDifferentiablePoint
 from prodiso.measures import BumpFunction, MeasureSpec
@@ -155,3 +158,74 @@ def test_custom_measure():
     mass = integrate(m.density, a, b, rel_tol=1e-10)
     assert abs(mass - 1.0) < 1e-8
     assert abs(m.mean) < 1e-8
+
+
+def _power_quantile(p, t):
+    """Power-law quantile from the regularized incomplete gamma function:
+    P(|X| > x) = Q(1/p, x^p) for density exp(-|x|^p) / (2 Gamma(1 + 1/p))."""
+    x = gammainccinv(1.0 / p, 2.0 * min(t, 1.0 - t)) ** (1.0 / p)
+    return -x if t < 0.5 else x
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.floats(1.2, 6.0), exponent=st.floats(-12.0, -1.0),
+       upper=st.booleans())
+def test_power_tail_quantiles_match_incomplete_gamma(p, exponent, upper):
+    m = MeasureSpec.power_law(p)
+    tail = 10.0 ** exponent
+    levels = (tail, 2.0 * tail) if not upper else (1.0 - 2.0 * tail, 1.0 - tail)
+    xs = [m.quantile(t) for t in levels]
+    for t, x in zip(levels, xs):
+        ref = _power_quantile(p, t)
+        assert abs(x - ref) <= 1e-13 * abs(ref)
+        assert abs(m.cdf(x) - t) <= 1e-13 * min(t, 1.0 - t) + 2.3e-16
+    assert xs[0] < xs[1]
+
+
+def _tilted_quartic(x):
+    x = np.asarray(x, dtype=float)
+    return x ** 4 / 4.0 + x ** 2 / 2.0 - x, x ** 3 + x - 1.0, 3.0 * x ** 2 + 1.0
+
+
+@pytest.mark.parametrize("m", [
+    MeasureSpec.custom(_tilted_quartic, log_concavity="log_concave"),
+    MeasureSpec.gaussian_bump(0.3, BumpFunction((0.5, -0.2), (1.0, 0.0),
+                                                (0.8, 0.6))),
+], ids=["custom", "gaussian_bump"])
+def test_tabulated_quantiles_roundtrip_and_increase(m):
+    ts = np.concatenate([[1e-12, 1e-6], np.linspace(0.02, 0.98, 9),
+                         [1.0 - 1e-6, 1.0 - 1e-12]])
+    xs = np.array([m.quantile(float(t)) for t in ts])
+    assert np.all(np.diff(xs) > 0.0)
+    for t, x in zip(ts, xs):
+        assert abs(m.cdf(x) - t) <= 1e-13 * min(t, 1.0 - t) + 2.3e-16
+
+
+def test_power_quantile_next_to_kink():
+    # the table panels at 0 hold the |x|^1.5 kink and are integrated
+    # adaptively; one Gauss rule reaching towards 0 would be off by 1e-11
+    m = MeasureSpec.power_law(1.5)
+    for t in (0.499, 0.5005, 0.505, 0.515):
+        assert abs(m.quantile(t) - _power_quantile(1.5, t)) <= 1e-14
+
+
+def test_cdf_table_built_once(monkeypatch):
+    m = MeasureSpec.power_law(3.0)
+    density = MeasureSpec.density
+    sizes = []
+
+    def counting(self, x):
+        sizes.append(np.size(x))
+        return density(self, x)
+
+    monkeypatch.setattr(MeasureSpec, "density", counting)
+    table = m._cdf_table
+    for t in (0.01, 0.3, 0.5, 0.8):
+        m.cdf(m.quantile(t))
+    assert m._cdf_table is table
+    # one flat evaluation builds the table; each rule after it has 22 points
+    assert sum(n > 22 for n in sizes) == 1
+    # the table is per instance and not part of equality or hashing
+    other = MeasureSpec.power_law(3.0)
+    assert other == m and hash(other) == hash(m)
+    assert "_cdf_table" not in other.__dict__
