@@ -330,12 +330,16 @@ def boundary_density(m: MeasureSpec, alpha: float, tau: float,
                      grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Weights for the reduced 1-D problems of a two-component half-space.
 
-    Returns (nu, theta) on the grid: nu(y) = f(y/sqrt2) f(tau - alpha y/sqrt2)
-    and theta(y) = -psi''(y/sqrt2).
+    Returns (nu, theta) on the grid: nu(y) proportional to
+    f(y/sqrt2) f(tau - alpha y/sqrt2), and theta(y) = -psi''(y/sqrt2).  The
+    conditions on nu are Rayleigh quotients, unchanged by a constant
+    factor, so nu is formed in log space and scaled to peak at 1: it
+    cannot underflow however far tau lies from the centre.
     """
     y = grid.nodes()
     s = y / math.sqrt(2.0)
-    nu = m.density(s) * m.density(tau - alpha * s)
+    log_nu = m._raw_psi(s)[0] + m._raw_psi(tau - alpha * s)[0]
+    nu = np.exp(log_nu - np.max(log_nu))
     theta = -m.log_density(s)[2]
     return nu, theta
 

@@ -189,7 +189,7 @@ def eigen_curves(bump: BumpFunction, eps: float,
 
     # a(eps) = - min Rayleigh of (stiffness - Theta-mass) against plain mass
     prob = assemble(nu, nu, grid, shift=-1.0, shift_mass_weight=theta * nu)
-    a_val = -float(solve_smallest(prob).eigenvalues[0])
+    a_val = -solve_smallest(prob).value
     return float(lam), float(k_val), float(a_val)
 
 

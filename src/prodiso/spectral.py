@@ -1,20 +1,21 @@
 """Sturm-Liouville discretization and eigensolving.
 
 Discretizes weighted Rayleigh quotients  inf  (int w u'^2) / (int m u^2)
-by a finite-volume scheme with Neumann boundary.  One certified solver
-handles every resulting pencil, shifted or restricted to a single linear
-constraint (zero weighted mean): shift-invert iteration with the
-constraint eliminated by the Schur complement, and an LDL^T inertia count
-that certifies the eigenvalue as the smallest admissible one.  Every
-pencil is factored by tridiagonal LAPACK: the 1-D pencils directly, the
-2-D oracle's after fast diagonalization in one factor splits it into
-tridiagonal blocks.  The spectral gap, whose mass equals its stiffness
-weight, keeps LAPACK bisection on the mass-scaled matrix and is memoized
-per (measure, options).
+by a finite-volume scheme with Neumann boundary into an ``EigenProblem``,
+a tridiagonal pencil with at most one linear constraint (zero weighted
+mean) that carries its own equilibrated LAPACK factor.  One certified
+solver handles every such pencil, shifted or constrained: shift-invert
+iteration with the constraint eliminated by the Schur complement, and an
+LDL^T inertia count that certifies the eigenvalue as the smallest
+admissible one.  The 2-D oracle's pencil is an ``EigenProblem`` too, once
+fast diagonalization in one factor splits it into tridiagonal blocks.
+The spectral gap, whose mass equals its stiffness weight, keeps LAPACK
+bisection on the mass-scaled matrix and is memoized per (measure, options).
 
-Also hosts the weighted-tensorization condition checks, a Brascamp-Lieb
-residual evaluator, and a 2-D product-grid oracle that cross-checks the
-1-D conditions against the genuinely two-dimensional eigenvalue.
+Also hosts the weighted-tensorization condition checks, whose values and
+zero-mass test do not change when the boundary density is scaled, a
+Brascamp-Lieb residual evaluator, and a 2-D product-grid oracle that
+cross-checks the 1-D conditions against the two-dimensional eigenvalue.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections.abc import Callable, Hashable
+from collections.abc import Hashable
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -42,7 +42,7 @@ from .errors import (
 from .numerics import Grid, integrate
 
 DEFAULT_SOLVER_MARGIN = 0.01
-_THETA_ZERO_MASS = 1e-14
+_THETA_ZERO_MASS = 1e-14    # int theta nu against max|theta| int nu
 
 
 # ---------------------------------------------------------------------------
@@ -51,39 +51,66 @@ _THETA_ZERO_MASS = 1e-14
 
 @dataclass(frozen=True)
 class EigenProblem:
-    """Discrete pencil (A, M) with optional linear constraints.
+    """Discrete pencil (A, M) with at most one linear constraint.
 
     ``diag``/``off`` hold the symmetric tridiagonal stiffness A scaled so
     that u^T A u approximates  int w u'^2  (Neumann: outside fluxes dropped,
     hence A @ 1 = 0 exactly).  ``mass_diag`` holds node masses m_i * trapz_i
-    so u^T M u approximates  int m u^2.  Each row of ``constraints`` is a
-    vector c with admissible u satisfying c @ u = 0.
+    so u^T M u approximates  int m u^2.  Admissible u satisfy
+    ``constraint`` @ u = 0 when a constraint is given.  ``grid`` is None
+    for a pencil that no single grid carries, such as the 2-D oracle's.
     """
 
-    grid: Grid
+    grid: Grid | None
     diag: np.ndarray
     off: np.ndarray
     mass_diag: np.ndarray
-    constraints: tuple[np.ndarray, ...] = ()
+    constraint: np.ndarray | None = None
 
-    @property
-    def n(self) -> int:
-        return self.grid.n
+    def mass_scaled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """s = diag(M)^(-1/2) and S = M^(-1/2) A M^(-1/2) as (s, diag, off),
+        for M > 0: S stays of order 1/h^2 where A and M span decades."""
+        s = 1.0 / np.sqrt(self.mass_diag)
+        return s, self.diag * s * s, self.off * s[:-1] * s[1:]
 
-    def apply_stiffness(self, u: np.ndarray) -> np.ndarray:
-        """A u, along u's last axis."""
-        return _tridiagonal_apply(self.diag, self.off, u)
+    @functools.cached_property
+    def _equilibrated(self) -> tuple[np.ndarray, ...]:
+        """D = diag(big)^(-1/2), ``big`` the largest |entry| of each row of
+        A, with D A D as (diag, off) and D M D as its diagonal: D (A - sigma
+        M) D has entries of order one however graded the weights are, so
+        the factors keep the tail pivots."""
+        abs_off = np.abs(self.off)
+        big = np.maximum(np.abs(self.diag),
+                         np.maximum(np.r_[abs_off, 0], np.r_[0, abs_off]))
+        if not np.all(big > 0):
+            raise DomainError("stiffness matrix has a zero row")
+        dsc = 1.0 / np.sqrt(big)
+        return (dsc, self.diag * dsc * dsc, self.off * dsc[:-1] * dsc[1:],
+                self.mass_diag * dsc * dsc)
+
+    def _factor(self, sigma: float):
+        """A solve with A - sigma M and the count of its negative pivots, or
+        None when it has no count: dgttrf solves, no negative pivot when
+        dpttrf succeeds, else dstebz's Sturm count."""
+        dsc, sa, so, sm = self._equilibrated
+        diag = sa - sigma * sm
+        *lu, info = dgttrf(so, diag, so)
+        if info != 0:
+            return None
+        neg = 0 if dpttrf(diag, so)[2] == 0 else _negative_pivots(diag, so)
+        return (lambda r: dsc * dgttrs(*lu, dsc * r)[0]), neg
 
 
 @dataclass(frozen=True)
 class EigenResult:
     """Smallest admissible eigenvalue of a pencil, with its certificate:
     an inertia count found no admissible eigenvalue below ``lower_bound``,
-    so it lies in [lower_bound, eigenvalues[0]], whose upper end is the
-    Rayleigh quotient of ``eigenvector``.  ``solves`` counts the solves."""
+    so it lies in [lower_bound, value], whose upper end is the Rayleigh
+    quotient of ``eigenvector``; ``residual`` is |A u - value M u| / |M u|.
+    ``solves`` counts the solves."""
 
-    eigenvalues: np.ndarray
-    residual_norms: np.ndarray
+    value: float
+    residual: float
     eigenvector: np.ndarray | None = None
     grid: Grid | None = None
     lower_bound: float = -math.inf
@@ -115,16 +142,14 @@ def assemble(stiffness_weight, mass_weight, grid: Grid,
     diag[1:] += wh / h
     trap = grid.trapezoid_weights()
     mass = m * trap
-    constraints: tuple[np.ndarray, ...] = ()
+    constraint = None
     if constraint_weight is not None:
-        c = np.asarray(constraint_weight, dtype=float) * trap
-        constraints = (c,)
+        constraint = np.asarray(constraint_weight, dtype=float) * trap
     if shift:
         sm = m if shift_mass_weight is None else np.asarray(shift_mass_weight,
                                                             dtype=float)
         diag = diag + shift * sm * trap
-    return EigenProblem(grid=grid, diag=diag, off=off, mass_diag=mass,
-                        constraints=constraints)
+    return EigenProblem(grid, diag, off, mass, constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -142,34 +167,15 @@ _START_GAP = 1e-10    # first shift below the row-sum bound, relative
 _MAX_SOLVES = 200
 
 
-class _Pencil(NamedTuple):
-    """A pencil (A, M) with at most one constraint c^T u = 0, as the
-    shift-invert iteration uses it.
-
-    ``factor(sigma)`` returns a solve with A - sigma M and the count of its
-    negative pivots, or None when it has no count; ``apply`` multiplies by
-    A and ``apply_abs`` by |A|, its entrywise absolute value; ``lo`` is the
-    start shift.
-    """
-
-    factor: Callable
-    apply: Callable
-    apply_abs: Callable
-    mass: np.ndarray
-    constraint: np.ndarray | None
-    lo: float
-
-
 def _negative_pivots(diag: np.ndarray, off: np.ndarray) -> int:
-    """Nonpositive eigenvalues of a symmetric tridiagonal matrix: dstebz's
+    """Size of a symmetric tridiagonal matrix's nonpositive spectrum: the
     Sturm count of negative LDL^T pivots (Barth, Martin and Wilkinson 1967)
-    between a Gershgorin bound and 0, stopped there by its tolerance."""
+    by dstebz between a Gershgorin bound and 0, stopped there by its tolerance."""
     low = float(np.min(diag)) - 2.0 * float(np.max(np.abs(off))) - 1.0
     return int(dstebz(diag, off, 1, low, 0.0, 0, 0, -low, b"B")[0])
 
 
-def _start_shift(diag: np.ndarray, row_sum: np.ndarray,
-                 mass: np.ndarray) -> float:
+def _start_shift(problem: EigenProblem) -> float:
     """A shift strictly below the pencil's spectrum.
 
     When the off-diagonal entries of A are nonpositive, as assembly makes
@@ -178,6 +184,8 @@ def _start_shift(diag: np.ndarray, row_sum: np.ndarray,
     beta u^T M u for beta = min s_i / m_i, provided s_i >= 0 wherever
     m_i = 0.  The inertia count at the start shift checks the result.
     """
+    diag, mass = problem.diag, problem.mass_diag
+    row_sum = _tridiagonal_apply(diag, problem.off, np.ones(len(diag)))
     pos = mass > 0
     if not np.any(pos):
         raise DomainError("mass is identically zero")
@@ -190,15 +198,6 @@ def _start_shift(diag: np.ndarray, row_sum: np.ndarray,
                                 + float(np.median(diag[pos] / mass[pos])))
 
 
-def _row_scaling(big: np.ndarray) -> np.ndarray:
-    """Symmetric equilibration D = diag(big)^(-1/2), ``big`` the largest
-    |entry| of each row of A: D (A - sigma M) D has entries of order one
-    however graded the weights are, so the factors keep the tail pivots."""
-    if not np.all(big > 0):
-        raise DomainError("stiffness matrix has a zero row")
-    return 1.0 / np.sqrt(big)
-
-
 def _tridiagonal_apply(diag: np.ndarray, off: np.ndarray,
                        u: np.ndarray) -> np.ndarray:
     """The symmetric tridiagonal (diag, off) times u along u's last axis."""
@@ -208,34 +207,7 @@ def _tridiagonal_apply(diag: np.ndarray, off: np.ndarray,
     return out
 
 
-def _tridiagonal_pencil(a: np.ndarray, off: np.ndarray, m: np.ndarray,
-                        constraint: np.ndarray | None = None) -> _Pencil:
-    """The tridiagonal pencil (A, M), A = (a, off) and M = diag(m), factored
-    by LAPACK: dgttrf solves, no negative pivot when dpttrf succeeds, else
-    dstebz's Sturm count."""
-    abs_a, abs_off = np.abs(a), np.abs(off)
-    dsc = _row_scaling(np.maximum(abs_a, np.maximum(np.r_[abs_off, 0],
-                                                    np.r_[0, abs_off])))
-    sa, so, sm = a * dsc * dsc, off * dsc[:-1] * dsc[1:], m * dsc * dsc
-
-    def factor(sigma: float):
-        diag = sa - sigma * sm
-        *lu, info = dgttrf(so, diag, so)
-        if info != 0:
-            return None
-        neg = 0 if dpttrf(diag, so)[2] == 0 else _negative_pivots(diag, so)
-        return (lambda r: dsc * dgttrs(*lu, dsc * r)[0]), neg
-
-    def apply(u):
-        return _tridiagonal_apply(a, off, u)
-
-    return _Pencil(factor, apply,
-                   lambda u: _tridiagonal_apply(abs_a, abs_off, u), m,
-                   constraint, _start_shift(a, apply(np.ones(len(a))), m))
-
-
-def _shift_invert(pencil: _Pencil, y: np.ndarray,
-                  grid: Grid | None = None) -> EigenResult:
+def _shift_invert(problem: EigenProblem, y: np.ndarray) -> EigenResult:
     """Smallest admissible eigenvalue of (A, M) by shift-invert iteration.
 
     Every shift in use has passed an inertia count showing no admissible
@@ -247,12 +219,14 @@ def _shift_invert(pencil: _Pencil, y: np.ndarray,
     result is returned once the shift sits within a small relative margin
     below the Rayleigh quotient, which brackets the eigenvalue.
     """
-    m, c = pencil.mass, pencil.constraint
+    a, off, m, c = (problem.diag, problem.off, problem.mass_diag,
+                    problem.constraint)
+    abs_a, abs_off = np.abs(a), np.abs(off)
 
     def count(sigma: float):
         """A solve with A - sigma M and its Schur-complement terms, or None
         when an admissible eigenvalue may lie at or below sigma."""
-        factored = pencil.factor(sigma)
+        factored = problem._factor(sigma)
         if factored is None:
             return None
         solve, neg = factored
@@ -262,7 +236,7 @@ def _shift_invert(pencil: _Pencil, y: np.ndarray,
         f = float(c @ wc)
         return (solve, wc, f) if neg + (f > 0.0) - 1 == 0 else None
 
-    lo = pencil.lo
+    lo = _start_shift(problem)
     state = count(lo)
     if state is None:
         raise NoConvergence("the start shift failed the inertia count")
@@ -279,10 +253,11 @@ def _shift_invert(pencil: _Pencil, y: np.ndarray,
         if not math.isfinite(nz) or nz == 0.0:
             raise NoConvergence("shift-invert produced a null vector")
         y = z / nz
-        ay = pencil.apply(y)
+        ay = _tridiagonal_apply(a, off, y)
         rho = float(y @ ay)
         ya = np.abs(y)
-        noise = _ROUNDING * _EPS * float(ya @ pencil.apply_abs(ya))
+        noise = _ROUNDING * _EPS * float(ya @ _tridiagonal_apply(abs_a, abs_off,
+                                                                 ya))
         margin = max(_CERTIFIED * abs(rho), noise)
         step, prev_step = abs(rho_prev - rho), step
         rho_prev = rho
@@ -307,9 +282,8 @@ def _shift_invert(pencil: _Pencil, y: np.ndarray,
     else:
         raise NoConvergence("shift-invert iteration did not converge")
 
-    return EigenResult(np.array([rho]),
-                       np.array([_residual(ay, rho, m * y, c)]),
-                       y / np.max(np.abs(y)), grid, lo, solves)
+    return EigenResult(rho, _residual(ay, rho, m * y, c),
+                       y / np.max(np.abs(y)), problem.grid, lo, solves)
 
 
 def _residual(au: np.ndarray, rho: float, mass_u: np.ndarray,
@@ -330,12 +304,9 @@ def solve_smallest(problem: EigenProblem) -> EigenResult:
     """
     # start near the usual minimizers: the constant without a constraint (the
     # ground state is positive), else the coordinate; the count guards the rest
-    if len(problem.constraints) > 1:
-        raise DomainError("at most one linear constraint is supported")
-    y = problem.grid.nodes() if problem.constraints else np.ones(problem.n)
-    pencil = _tridiagonal_pencil(problem.diag, problem.off, problem.mass_diag,
-                                 *problem.constraints)
-    return _shift_invert(pencil, y, problem.grid)
+    if problem.constraint is None:
+        return _shift_invert(problem, np.ones(len(problem.diag)))
+    return _shift_invert(problem, problem.grid.nodes())
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +327,11 @@ def _gap_single(m, b: float, n: int) -> float:
     # drop tails where the density underflows outright; the tridiagonal
     # bisection solver tolerates any representable dynamic range
     grid, w = _crop_support(w, grid, floor=1e-290)
-    prob = assemble(w, w, grid)
     # with mass = stiffness weight the mean constraint only removes the
     # constant null mode: the gap is the second eigenvalue of the
-    # mass-scaled matrix, whose entries stay of order 1/h^2
-    s = 1.0 / np.sqrt(prob.mass_diag)
-    return float(eigh_tridiagonal(prob.diag * s * s, prob.off * s[:-1] * s[1:],
-                                  select="i", select_range=(1, 1),
+    # mass-scaled matrix
+    _, d, e = assemble(w, w, grid).mass_scaled()
+    return float(eigh_tridiagonal(d, e, select="i", select_range=(1, 1),
                                   eigvals_only=True)[0])
 
 
@@ -430,7 +399,7 @@ def _crop_support(nu: np.ndarray, grid: Grid, *arrays,
 
     Outside it 1/nu overwhelms double precision and the discrete pencil
     acquires spurious ill-conditioned tail modes; cropping there perturbs
-    the low eigenvalues only at the level of the discarded mass.
+    the low end of the spectrum only at the level of the discarded mass.
     """
     mx = float(np.max(nu))
     if mx <= 0.0:
@@ -450,15 +419,16 @@ def _crop_support(nu: np.ndarray, grid: Grid, *arrays,
 
 
 def _check_theta(theta: np.ndarray) -> None:
-    mx = float(np.max(np.abs(theta))) if theta.size else 0.0
-    if mx == 0.0:
-        return
-    if np.any(theta < -1e-12 * mx):
+    if np.any(theta < -1e-12 * np.max(np.abs(theta))):
         raise SignedWeight("weight must be nonnegative on the grid")
 
 
-def _theta_mass(theta: np.ndarray, nu: np.ndarray, grid: Grid) -> float:
-    return float(np.sum(theta * nu * grid.trapezoid_weights()))
+def _theta_negligible(theta: np.ndarray, nu: np.ndarray, grid: Grid) -> bool:
+    """Whether int theta nu is rounding against max|theta| int nu, so that
+    the conditions hold; scale-free in nu and theta, as the quotients are."""
+    trap = grid.trapezoid_weights()
+    scale = float(np.max(np.abs(theta))) * float(np.sum(nu * trap))
+    return float(np.sum(theta * nu * trap)) <= _THETA_ZERO_MASS * scale
 
 
 @dataclass(frozen=True)
@@ -498,13 +468,13 @@ def _condition(nu, theta, grid: Grid, solver_margin: float,
     nu = np.asarray(nu, dtype=float)
     theta = np.asarray(theta, dtype=float)
     _check_theta(theta)
-    if _theta_mass(theta, nu, grid) < _THETA_ZERO_MASS:
+    if _theta_negligible(theta, nu, grid):
         return ConditionCheck(math.inf, True, math.inf)
     grid, nu, theta = _crop_support(nu, grid, theta)
     prob = assemble(nu, theta * nu, grid,
                     constraint_weight=nu if constrained else None,
                     shift=shift, shift_mass_weight=nu)
-    val = float(solve_smallest(prob).eigenvalues[0])
+    val = solve_smallest(prob).value
     return ConditionCheck(val, val >= 1.0 - solver_margin, val - 1.0)
 
 
@@ -563,7 +533,7 @@ _DECOUPLED = 1e-13    # per node: orthogonality and residual of Q, relative
 
 
 def _decoupled_pencil(x: EigenProblem, y: EigenProblem,
-                      weight: np.ndarray) -> tuple[_Pencil, np.ndarray]:
+                      weight: np.ndarray) -> tuple[EigenProblem, np.ndarray]:
     """The product pencil of two 1-D problems on x and y,
 
         A2 = diag(weight) (x) A_x + A_y (x) M_x,   M2 = M_y (x) M_x,
@@ -581,8 +551,7 @@ def _decoupled_pencil(x: EigenProblem, y: EigenProblem,
     relative n_x * 1e-13.  Returns the pencil and Phi; the pencil's vector
     v is u = (I (x) Phi) v, that is U = (Phi V)^T for V = v.reshape(n_x, -1).
     """
-    s = 1.0 / np.sqrt(x.mass_diag)
-    d, e = x.diag * s * s, x.off * s[:-1] * s[1:]
+    s, d, e = x.mass_scaled()
     mu, q = eigh_tridiagonal(d, e)
     n = len(mu)
     tol = _DECOUPLED * n
@@ -594,10 +563,10 @@ def _decoupled_pencil(x: EigenProblem, y: EigenProblem,
                                                 + 2.0 * np.max(np.abs(e))):
         raise NoConvergence("the x factor's eigenvectors are not a congruence")
     phi = s[:, None] * q
-    pencil = _tridiagonal_pencil(
-        (mu[:, None] * weight + y.diag).ravel(),
+    pencil = EigenProblem(
+        None, (mu[:, None] * weight + y.diag).ravel(),
         np.tile(np.r_[y.off, 0.0], n)[:-1], np.tile(y.mass_diag, n),
-        np.outer(phi.T @ x.constraints[0], y.constraints[0]).ravel())
+        np.outer(phi.T @ x.constraint, y.constraint).ravel())
     return pencil, phi
 
 
@@ -624,15 +593,15 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
 
     # 1-D side: lambda_tau on the same grid for consistency
     prob_tau = assemble(tau, tau, grid, constraint_weight=tau)
-    lambda_tau = float(solve_smallest(prob_tau).eigenvalues[0])
+    lambda_tau = solve_smallest(prob_tau).value
     p1 = check_P1(nu, theta, grid)
     p2 = check_P2(nu, theta, lambda_tau, grid)
 
-    if _theta_mass(theta, nu, grid) < _THETA_ZERO_MASS:
+    if _theta_negligible(theta, nu, grid):
         return TensorOracleResult(math.inf, True, p1, p2, lambda_tau, True)
 
     prob_nu = assemble(nu, theta * nu, grid, constraint_weight=nu)
-    nu_w, tau_w = prob_nu.constraints[0], prob_tau.mass_diag
+    nu_w, tau_w = prob_nu.constraint, prob_tau.mass_diag
     pencil, phi = _decoupled_pencil(prob_tau, prob_nu, nu_w)
     # start from the sum of the coordinates, which has parts along both
     # separable candidates, the P1 mode v(y) and the P2 mode v(y) phi_1(x);
@@ -646,8 +615,8 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
     u = (phi @ v).T
     c2 = np.outer(nu_w, tau_w)
     u -= c2 * (np.sum(c2 * u) / np.sum(c2 * c2))
-    au = (nu_w[:, None] * prob_tau.apply_stiffness(u)
-          + prob_nu.apply_stiffness(u.T).T * tau_w)
+    au = (nu_w[:, None] * _tridiagonal_apply(prob_tau.diag, prob_tau.off, u)
+          + _tridiagonal_apply(prob_nu.diag, prob_nu.off, u.T).T * tau_w)
     mass_u = np.outer(prob_nu.mass_diag, tau_w) * u
     lam2d = float(np.sum(u * au) / np.sum(u * mass_u))
     residual = _residual(au.ravel(), lam2d, mass_u.ravel(), c2.ravel())

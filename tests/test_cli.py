@@ -52,6 +52,16 @@ def test_stable_verdicts_and_exit_codes(capsys):
     assert "inconclusive" in out
 
 
+def test_stable_far_bisector_is_unstable(capsys):
+    # tau = 4.5: the boundary density peaks at 1.7e-23 in absolute terms
+    code, out, _ = run(capsys, "stable", "--measure",
+                       '{"kind": "power", "p": 4}', "--halfspace",
+                       "bisector-:3.2", "--dim", "3")
+    assert code == 0
+    assert "unstable" in out.split()
+    assert "=inf" not in out
+
+
 def test_stable_coordinate(capsys):
     code, out, _ = run(capsys, "stable", "--measure", "logistic",
                        "--halfspace", "coordinate:3.0", "--dim", "2")

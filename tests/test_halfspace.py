@@ -146,6 +146,22 @@ def test_noncoordinate_gaussian_inconclusive():
     assert noncoordinate_stability(GAUSSIAN, 1, 0.0, 3).tag == INCONCLUSIVE
 
 
+@pytest.mark.parametrize("m, alpha, tau, dim, tag", [
+    # far from the centre the boundary density is tiny (max 1.7e-23 at
+    # power(4), tau = 4.5, as f(s) f(tau + s)); an absolute zero-mass test
+    # read each of these rows as stable with P1 = P2 = inf
+    *((POWER4, -1, tau, 3, UNSTABLE) for tau in (4.5, 5.0, 6.0, 8.0, 12.0)),
+    # P1 = 1 exactly for a Gaussian at every tau
+    *((GAUSSIAN, -1, tau, 3, INCONCLUSIVE) for tau in (11.0, 12.0, 30.0)),
+    (LOGISTIC, -1, 34.0, 2, UNSTABLE),
+])
+def test_noncoordinate_far_offsets(m, alpha, tau, dim, tag):
+    v = noncoordinate_stability(m, alpha, tau, dim)
+    assert v.tag == tag
+    assert all(math.isfinite(x) for x in v.certificates.values())
+    assert v.certificates["p1_eigenvalue"] < 1.0 + 1e-2
+
+
 def test_noncoordinate_rejects_asymmetric():
     with pytest.raises(HypothesisViolated):
         noncoordinate_stability(MeasureSpec.custom(
