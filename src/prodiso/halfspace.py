@@ -333,15 +333,17 @@ def boundary_density(m: MeasureSpec, alpha: float, tau: float,
     Returns (nu, theta) on the grid: nu(y) proportional to
     f(y/sqrt2) f(tau - alpha y/sqrt2), and theta(y) = -psi''(y/sqrt2).  The
     conditions on nu are Rayleigh quotients, unchanged by a constant
-    factor, so nu is formed in log space and scaled to peak at 1: it
-    cannot underflow however far tau lies from the centre.
+    factor, so nu is formed in log space from the unnormalized psi and
+    scaled to peak at 1: it cannot underflow however far tau lies from the
+    centre.  Raises NonDifferentiablePoint where theta does not exist.
     """
     y = grid.nodes()
     s = y / math.sqrt(2.0)
-    log_nu = m._raw_psi(s)[0] + m._raw_psi(tau - alpha * s)[0]
+    m._require_differentiable(s)
+    psi, _, ddpsi = m._raw_psi(s)
+    log_nu = psi + m._raw_psi(tau - alpha * s)[0]
     nu = np.exp(log_nu - np.max(log_nu))
-    theta = -m.log_density(s)[2]
-    return nu, theta
+    return nu, -ddpsi
 
 
 def noncoordinate_stability(m: MeasureSpec, alpha: int, tau: float,

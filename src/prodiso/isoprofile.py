@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, NotLogConcave
-from .measures import MeasureSpec
+from .measures import MeasureSpec, _ndtri
 from .numerics import Grid, _bracketed_newton, _partial_sums, tabulate
 from .spectral import GapOptions, spectral_gap
 
@@ -35,7 +34,7 @@ def profile_1d(m: MeasureSpec, t: float) -> float:
     if m.kind == "logistic":
         return t * (1.0 - t)
     if m.kind == "gaussian":
-        z = ndtri(t)
+        z = _ndtri(t)
         return float(math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / m.sigma)
     if m.symmetric:
         # f(F^{-1}(1 - t)) = f(F^{-1}(t)): one half-line suffices
@@ -137,7 +136,7 @@ def profile_envelope(m: MeasureSpec, t_grid,
     one = np.array([profile_1d(m, t) for t in ts])
     low = np.array([tensor_lower_bound(m, t, lam=lam) for t in ts])
     gauss = np.array([0.0 if t in (0.0, 1.0) else
-                      math.exp(-0.5 * ndtri(t) ** 2) / math.sqrt(2 * math.pi)
+                      math.exp(-0.5 * _ndtri(t) ** 2) / math.sqrt(2 * math.pi)
                       / sigma for t in ts])
     up = np.minimum(one, gauss)
     trace: tuple[float, ...] = ()

@@ -13,6 +13,8 @@ interval with the mass below and above each node.  ``cdf`` adds one Gauss
 rule on the panel holding ``x``; ``quantile`` inverts the table on the side
 of the smaller tail by Newton steps with the density, kept inside the
 panel's bracket, so tail quantiles keep their relative accuracy.
+Quadratures split at the singular points: the kink at 0 of the exponential
+and power laws, and the breakpoints of a Gaussian's bump.
 """
 
 from __future__ import annotations
@@ -21,20 +23,20 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NonDifferentiablePoint
-from .numerics import _WH, _WL, _XH, _XL, _bracketed_newton, integrate
+from .numerics import _WH, _WL, _XH, _XL, _bracketed_newton, _composite_nodes, integrate
 
 STRICTLY_LOG_CONCAVE = "strictly_log_concave"
 LOG_CONCAVE = "log_concave"
 UNKNOWN = "unknown"
 
 _DEFAULT_TAIL = 1e-12
+_ndtri = NormalDist().inv_cdf
 
 # The CDF table: mass left outside [-b, b], Gauss panels per segment between
 # singular points, the embedded-pair disagreement above which a panel is
@@ -100,9 +102,14 @@ class BumpFunction:
 
     @property
     def support_radius(self) -> float:
-        if not self.centers:
-            return 0.0
-        return max(c + w for c, w in zip(self.centers, self.widths))
+        return self.breakpoints[-1] if self.centers else 0.0
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """The sorted atom ends +-c +-w, where the bump is not analytic."""
+        return tuple(sorted({s * c + d * w
+                             for c, w in zip(self.centers, self.widths)
+                             for s in (1.0, -1.0) for d in (1.0, -1.0)}))
 
     def evaluate(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (bump, bump', bump'') at ``x`` (vectorized)."""
@@ -207,15 +214,18 @@ class MeasureSpec:
         if self.kind in ("logistic", "gaussian", "exponential"):
             return 0.0
         if self.kind == "power":
-            return math.log(2.0 * gamma_fn(1.0 + 1.0 / self.p))
+            return math.log(2.0 * math.gamma(1.0 + 1.0 / self.p))
         b = self._raw_truncation(1e-15)
         mass = integrate(lambda x: np.exp(self._raw_psi(x)[0]), -b, b,
                          rel_tol=1e-13, points=self._singular_points())
         return math.log(mass)
 
     def _singular_points(self) -> tuple[float, ...]:
+        """Where the density is not analytic: kinks, and a bump's breakpoints."""
         if self.kind in ("exponential", "power"):
             return (0.0,)
+        if self.kind == "gaussian_bump":
+            return self.bump.breakpoints
         return ()
 
     # -- log-density and derivatives ----------------------------------
@@ -257,17 +267,21 @@ class MeasureSpec:
                     -np.asarray(ddv, dtype=float))
         raise DomainError(f"unknown measure kind {self.kind!r}")
 
+    def _require_differentiable(self, x: np.ndarray) -> None:
+        """Raise unless every point of x is finite and psi', psi'' exist there."""
+        if not np.all(np.isfinite(x)):
+            raise DomainError("evaluation points must be finite")
+        if self.kind == "power" and self.p < 2.0 and np.any(x == 0.0):
+            raise NonDifferentiablePoint(
+                "power-law psi'' undefined at 0 for p < 2")
+        if self.kind == "exponential" and np.any(x == 0.0):
+            raise NonDifferentiablePoint(
+                "two-sided exponential psi', psi'' undefined at 0")
+
     def log_density(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Normalized (psi, psi', psi''); raises at non-differentiable points."""
         xa = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(xa)):
-            raise DomainError("evaluation points must be finite")
-        if self.kind == "power" and self.p < 2.0 and np.any(xa == 0.0):
-            raise NonDifferentiablePoint(
-                "power-law psi'' undefined at 0 for p < 2")
-        if self.kind == "exponential" and np.any(xa == 0.0):
-            raise NonDifferentiablePoint(
-                "two-sided exponential psi', psi'' undefined at 0")
+        self._require_differentiable(xa)
         psi, dpsi, ddpsi = self._raw_psi(xa)
         psi = psi - self._log_norm
         if np.ndim(x) == 0:
@@ -290,17 +304,14 @@ class MeasureSpec:
         The density is evaluated for every panel in one call on a flat
         array; a panel whose 21/10-point Gauss pair disagrees by more than
         ``_PANEL_PAIR_TOL`` is integrated adaptively and remembered, so that
-        ``_panel_mass`` integrates adaptively there too.
+        ``_panel_mass`` integrates adaptively there too.  Panels end at the
+        singular points, so only a custom potential's kinks need this.
         """
         b = self._raw_truncation(_TABLE_TAIL)
         cuts = [-b, *(s for s in self._singular_points() if -b < s < b), b]
-        nodes = np.concatenate(
-            [np.linspace(lo, hi, _TABLE_PANELS + 1)[:-1]
-             for lo, hi in zip(cuts, cuts[1:])] + [[b]])
-        c = 0.5 * (nodes[1:] + nodes[:-1])
-        r = 0.5 * (nodes[1:] - nodes[:-1])
-        f = self.density((c[:, None] + r[:, None] * np.concatenate([_XH, _XL]))
-                         .ravel()).reshape(len(c), -1)
+        nodes, x, r = _composite_nodes(cuts, _TABLE_PANELS,
+                                       np.concatenate([_XH, _XL]))
+        f = self.density(x.ravel()).reshape(x.shape)
         mass = r * (f[:, :len(_XH)] @ _WH)
         adaptive = np.abs(mass - r * (f[:, len(_XH):] @ _WL)) > _PANEL_PAIR_TOL
         for j in np.nonzero(adaptive)[0]:
@@ -331,7 +342,7 @@ class MeasureSpec:
         if self.kind == "logistic":
             return float(1.0 / (1.0 + np.exp(-x)))
         if self.kind == "gaussian":
-            return float(ndtr(x / self.sigma))
+            return 0.5 * math.erfc(-x / self.sigma / math.sqrt(2.0))
         if self.kind == "exponential":
             return 0.5 * math.exp(x) if x < 0 else 1.0 - 0.5 * math.exp(-x)
         t = self._cdf_table
@@ -350,7 +361,7 @@ class MeasureSpec:
         if self.kind == "logistic":
             return math.log(prob / (1.0 - prob))
         if self.kind == "gaussian":
-            return float(self.sigma * ndtri(prob))
+            return self.sigma * _ndtri(prob)
         if self.kind == "exponential":
             return math.log(2.0 * prob) if prob <= 0.5 else -math.log(2.0 * (1.0 - prob))
         # invert the smaller tail's table: 1 - prob is exact for prob > 1/2
@@ -396,12 +407,12 @@ class MeasureSpec:
         if self.kind == "logistic":
             return math.log(1.0 / s - 1.0)
         if self.kind == "gaussian":
-            return float(self.sigma * abs(ndtri(s)))
+            return self.sigma * abs(_ndtri(s))
         if self.kind == "exponential":
             return math.log(1.0 / tail_mass)
         if self.kind == "power":
             # tail(b) <= exp(-b^p) / (p b^(p-1) Z) for b >= 1; fixed point
-            z = 2.0 * gamma_fn(1.0 + 1.0 / self.p)
+            z = 2.0 * math.gamma(1.0 + 1.0 / self.p)
             b = max(1.5, math.log(1.0 / (s * z)) ** (1.0 / self.p))
             for _ in range(40):
                 nb = (math.log(1.0 / (s * z * self.p * max(b, 1.0) ** (self.p - 1.0)))
@@ -414,7 +425,7 @@ class MeasureSpec:
         if self.kind == "gaussian_bump":
             r = self.bump.support_radius if self.bump else 0.0
             # outside the bump support the raw density is the raw Gaussian
-            return max(float(abs(ndtri(s / 2.0))), r + 1.0)
+            return max(abs(_ndtri(s / 2.0)), r + 1.0)
         if self.kind == "custom":
             # raw (unnormalized) density: the normalized one needs _log_norm,
             # whose computation calls back into this truncation search

@@ -15,12 +15,34 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import DomainError, GridTooNarrow, NoConvergence
 
-_XL, _WL = roots_legendre(10)
-_XH, _WH = roots_legendre(21)
+# The embedded 10/21-point Gauss-Legendre pair on [-1, 1], as scipy.special's
+# roots_legendre rounds it; numpy's leggauss rounds the 21-point weights up to
+# 1.7e-14 differently, no closer to the exact ones.
+_XL = np.array([
+    -0.9739065285171717, -0.8650633666889844, -0.6794095682990244, -0.4333953941292472,
+    -0.14887433898163116, 0.14887433898163116, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889844, 0.9739065285171717])
+_WL = np.array([
+    0.06667134430868714, 0.14945134915058053, 0.21908636251598224, 0.26926671930999674,
+    0.2955242247147533, 0.2955242247147533, 0.26926671930999674, 0.21908636251598224,
+    0.14945134915058053, 0.06667134430868714])
+_XH = np.array([
+    -0.9937521706203896, -0.9672268385663063, -0.9200993341504009, -0.8533633645833172,
+    -0.768439963475678, -0.6671388041974123, -0.5516188358872198, -0.4243421202074388,
+    -0.2880213168024011, -0.14556185416089512, 0.0, 0.14556185416089512, 0.2880213168024011,
+    0.4243421202074388, 0.5516188358872198, 0.6671388041974123, 0.768439963475678,
+    0.8533633645833172, 0.9200993341504009, 0.9672268385663063, 0.9937521706203896])
+_WH = np.array([
+    0.016017228257774067, 0.03695378977085202, 0.057134425426857004, 0.0761001136283796,
+    0.09344442345603364, 0.10879729916714863, 0.12183141605372863, 0.13226893863333766,
+    0.1398873947910734, 0.14452440398997013, 0.14608113364969053, 0.14452440398997013,
+    0.1398873947910734, 0.13226893863333766, 0.12183141605372863, 0.10879729916714863,
+    0.09344442345603364, 0.0761001136283796, 0.057134425426857004, 0.03695378977085202,
+    0.016017228257774067])
+_MAX_DEPTH = 50     # bisections of one panel before integrate gives up
 
 
 def _panel(f, a: float, b: float) -> tuple[float, float]:
@@ -33,16 +55,16 @@ def _panel(f, a: float, b: float) -> tuple[float, float]:
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
-              points: tuple[float, ...] = (), max_depth: int = 50) -> float:
+              points: tuple[float, ...] = ()) -> float:
     """Adaptive embedded-Gauss quadrature of ``f`` on [a, b].
 
     ``points`` are declared singular/kink locations; panels are pre-split
     there so the rule never straddles them.  Error is controlled against the
-    difference of the embedded pair; raises NoConvergence past ``max_depth``
+    difference of the embedded pair; raises NoConvergence past ``_MAX_DEPTH``
     bisections on any panel.
     """
     if b < a:
-        return -integrate(f, b, a, rel_tol, points, max_depth)
+        return -integrate(f, b, a, rel_tol, points)
     if a == b:
         return 0.0
     cuts = sorted({a, b, *(p for p in points if a < p < b)})
@@ -59,13 +81,25 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
            err <= rel_tol * max(abs(est), 1e-300):
             acc += est
             continue
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise NoConvergence(
                 f"quadrature failed to converge on [{lo:g}, {hi:g}]")
         mid = 0.5 * (lo + hi)
         stack.append((lo, mid, depth + 1))
         stack.append((mid, hi, depth + 1))
     return acc
+
+
+def _composite_nodes(cuts, panels: int, x: np.ndarray):
+    """Ends of ``panels`` equal panels per segment between sorted ``cuts``,
+    the nodes ``x`` on [-1, 1] mapped into each panel (one row per panel)
+    and the panels' half-lengths."""
+    ends = np.concatenate(
+        [np.linspace(lo, hi, panels + 1)[:-1]
+         for lo, hi in zip(cuts, cuts[1:])] + [[cuts[-1]]])
+    c = 0.5 * (ends[1:] + ends[:-1])
+    r = 0.5 * (ends[1:] - ends[:-1])
+    return ends, c[:, None] + r[:, None] * x, r
 
 
 def _bracketed_newton(fun, lo: float, hi: float, x: float, tol: float,

@@ -4,10 +4,12 @@ Perturbs the standard Gaussian potential to x^2/2 + eps * bump(x) and
 tracks three eigenvalue curves: the spectral gap lambda(eps), the
 zero-mean weighted Poincare constant k(eps) of the reduced bisector
 problem, and the shifted supremum a(eps).  First-order slopes at eps = 0
-are explicit Gaussian integrals against fixed polynomial kernels; a bump
-whose slopes satisfy k_dot > 0 and lambda_dot > a_dot pushes the
+are explicit Gaussian integrals against fixed polynomial kernels, taken
+by one composite Gauss rule whose panels end at the bump's breakpoints; a
+bump whose slopes satisfy k_dot > 0 and lambda_dot > a_dot pushes the
 two-equal-component half-space strictly inside the stability region for
-small eps, which finite differences and a direct stability check confirm.
+small eps, which finite differences of the eigenvalue curves confirm; the
+curves use ``halfspace.boundary_density``, as the stability verdicts do.
 """
 
 from __future__ import annotations
@@ -19,10 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisViolated, InfeasibleBasis, NonEvenBump
+from .halfspace import boundary_density
 from .measures import BumpFunction, MeasureSpec
-from .numerics import Grid, integrate
+from .numerics import _WH, _XH, Grid, _composite_nodes
 from .spectral import GapOptions, assemble, check_P1, solve_smallest, spectral_gap
 
+# Gauss panels per interval between bump breakpoints: the atoms are not
+# analytic at their ends, and 16 panels leave 1e-14 relative errors there
+_SLOPE_PANELS = 32
+_CURVE_NODES = 4001         # the eigenvalue curves' grid on the bisector
+_CURVE_HALF_WIDTH = 16.0
 _FEASIBILITY_SLACK = 1e-3
 # (k_dot, lambda_dot - a_dot) targets; deliberately small because the
 # eigenvalue curves bend concavely in eps and large slopes come with large
@@ -74,22 +82,22 @@ def perturbation_slopes(bump: BumpFunction) -> tuple[float, float, float]:
 
     Gaussian integrals of the bump against the kernels (x^2 - 1) e^{-x^2/2}
     (normalized by 1/sqrt(2 pi)) and (-4x^4 + 12x^2 - 3), (2x^2 - 1)
-    against e^{-x^2} (normalized by 2/sqrt(pi)).
+    against e^{-x^2} (normalized by 2/sqrt(pi)), by one composite Gauss
+    rule with ``_SLOPE_PANELS`` panels between consecutive breakpoints.
     """
     _require_even(bump)
-    r = bump.support_radius
-    if r == 0.0:
+    if bump.support_radius == 0.0:
         return (0.0, 0.0, 0.0)
-
-    def q(f):
-        return integrate(f, -r, r, rel_tol=1e-12)
-
-    lam_dot = q(lambda x: bump(x) * (x * x - 1.0) * np.exp(-x * x / 2.0)) \
+    _, x, r = _composite_nodes(bump.breakpoints, _SLOPE_PANELS, _XH)
+    x = x.ravel()
+    weighted = bump(x) * (r[:, None] * _WH).ravel()
+    x2 = x * x
+    e2 = np.exp(-x2)
+    lam_dot = weighted @ ((x2 - 1.0) * np.exp(-x2 / 2.0)) \
         / math.sqrt(2.0 * math.pi)
-    k_dot = q(lambda x: bump(x) * (-4.0 * x ** 4 + 12.0 * x * x - 3.0)
-              * np.exp(-x * x)) * 2.0 / math.sqrt(math.pi)
-    a_dot = q(lambda x: bump(x) * (2.0 * x * x - 1.0) * np.exp(-x * x)) \
+    k_dot = weighted @ ((-4.0 * x2 * x2 + 12.0 * x2 - 3.0) * e2) \
         * 2.0 / math.sqrt(math.pi)
+    a_dot = weighted @ ((2.0 * x2 - 1.0) * e2) * 2.0 / math.sqrt(math.pi)
     return (float(lam_dot), float(k_dot), float(a_dot))
 
 
@@ -104,16 +112,16 @@ def default_basis() -> list[BumpFunction]:
             BumpFunction((1.0,), (0.0,), (1.5,))]
 
 
-def design_bump(basis: list[BumpFunction] | None = None,
-                slack: float = _FEASIBILITY_SLACK,
-                targets: tuple[float, float] = _SLOPE_TARGETS,
+def design_bump(basis: list[BumpFunction] | None = None
                 ) -> tuple[BumpFunction, PerturbationReport]:
-    """Find a bump with k_dot >= slack and lambda_dot - a_dot >= slack.
+    """Find a bump with k_dot and lambda_dot - a_dot both at least
+    ``_FEASIBILITY_SLACK``, from ``basis`` (``default_basis()`` if None).
 
     Both requirements are linear functionals of the bump, so the least-norm
-    coefficients hitting ``targets`` = (k_dot, lambda_dot - a_dot) come from
-    a direct two-functional linear solve; a rank-one basis falls back to a
-    sign search along its single direction.
+    coefficients hitting ``_SLOPE_TARGETS`` = (k_dot, lambda_dot - a_dot)
+    come from a direct two-functional linear solve; a rank-one basis falls
+    back to a sign search along its single direction.  Raises
+    InfeasibleBasis when no combination meets both margins.
     """
     if basis is None:
         basis = default_basis()
@@ -124,7 +132,7 @@ def design_bump(basis: list[BumpFunction] | None = None,
         ld, kd, ad = perturbation_slopes(atom)
         cols.append((kd, ld - ad))
     mat = np.array(cols).T                       # 2 x k functional matrix
-    rhs = np.asarray(targets, dtype=float)
+    rhs = np.asarray(_SLOPE_TARGETS, dtype=float)
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals.size < 2 or svals[-1] <= 1e-9 * svals[0]:
         # rank one: a single scalar direction must satisfy both signs
@@ -143,7 +151,8 @@ def design_bump(basis: list[BumpFunction] | None = None,
         coeffs = np.linalg.pinv(mat) @ rhs
     combined = _combine(basis, coeffs)
     slopes = perturbation_slopes(combined)
-    feasible = slopes[1] >= slack and slopes[0] - slopes[2] >= slack
+    feasible = slopes[1] >= _FEASIBILITY_SLACK and \
+        slopes[0] - slopes[2] >= _FEASIBILITY_SLACK
     if not feasible:
         raise InfeasibleBasis("designed coefficients missed the slack margins")
     return combined, PerturbationReport(slopes, feasible=True, bump=combined)
@@ -161,27 +170,19 @@ def _combine(basis: list[BumpFunction], coeffs) -> BumpFunction:
     return BumpFunction(tuple(cs), tuple(centers), tuple(widths))
 
 
-def _reduced_weights(bump: BumpFunction, eps: float,
-                     grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """nu_eps and Theta_eps of the reduced bisector problem on the grid."""
-    y = grid.nodes()
-    s = y / math.sqrt(2.0)
-    b_val, _, b_dd = bump.evaluate(s)
-    v = s * s / 2.0 + eps * b_val
-    v_dd = 1.0 + eps * b_dd
-    nu = np.exp(-2.0 * v)
-    return nu, v_dd
+def eigen_curves(bump: BumpFunction, eps: float) -> tuple[float, float, float]:
+    """(lambda(eps), k(eps), a(eps)) by direct eigenvalue computation.
 
-
-def eigen_curves(bump: BumpFunction, eps: float,
-                 n: int = 4001, b: float = 16.0) -> tuple[float, float, float]:
-    """(lambda(eps), k(eps), a(eps)) by direct eigenvalue computation."""
+    lambda is the perturbed measure's spectral gap; k and a come from its
+    boundary density on the bisector {x1 = x2}.  Raises HypothesisViolated
+    where the perturbed potential is not convex.
+    """
     measure = MeasureSpec.gaussian_bump(eps, bump) if eps else \
         MeasureSpec.gaussian(1.0)
-    lam = spectral_gap(measure, GapOptions(n=n))
+    lam = spectral_gap(measure, GapOptions(n=_CURVE_NODES))
 
-    grid = Grid.symmetric_grid(b, n)
-    nu, theta = _reduced_weights(bump, eps, grid)
+    grid = Grid.symmetric_grid(_CURVE_HALF_WIDTH, _CURVE_NODES)
+    nu, theta = boundary_density(measure, -1, 0.0, grid)
     if np.any(theta <= 0.0):
         raise HypothesisViolated(
             "perturbed potential loses convexity at this eps")

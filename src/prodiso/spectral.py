@@ -20,10 +20,8 @@ cross-checks the 1-D conditions against the two-dimensional eigenvalue.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
-from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -338,19 +336,6 @@ def _gap_single(m, b: float, n: int) -> float:
 _GAP_MEMO_SIZE = 128    # (measure, options) pairs whose gaps are kept
 
 
-def _hashable(value) -> bool:
-    """Whether hash(value) succeeds, decided without calling it: a tuple
-    hashes when its items do, a dataclass when it is frozen and its hashed
-    fields hash, anything else when its type defines __hash__."""
-    if isinstance(value, tuple):
-        return all(map(_hashable, value))
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return value.__dataclass_params__.frozen and all(
-            _hashable(getattr(value, f.name)) for f in dataclasses.fields(value)
-            if (f.compare if f.hash is None else f.hash))
-    return isinstance(value, Hashable)
-
-
 def spectral_gap(m, opts: GapOptions | None = None) -> float:
     """Best Poincare constant of the measure.
 
@@ -368,9 +353,11 @@ def spectral_gap(m, opts: GapOptions | None = None) -> float:
     """
     if opts is None:
         opts = GapOptions()
-    if _hashable((m, opts)):
-        return _spectral_gap(m, opts)
-    return _spectral_gap.__wrapped__(m, opts)
+    try:
+        hash((m, opts))
+    except TypeError:
+        return _spectral_gap.__wrapped__(m, opts)
+    return _spectral_gap(m, opts)
 
 
 @functools.lru_cache(maxsize=_GAP_MEMO_SIZE)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from prodiso.errors import DomainError, HypothesisViolated
+from prodiso.errors import DomainError, HypothesisViolated, NonDifferentiablePoint
 from prodiso.halfspace import (
     COORDINATE,
     GAUSSIAN_ALL,
@@ -16,6 +16,7 @@ from prodiso.halfspace import (
     STABLE,
     SYMMETRIC_PLUS,
     UNSTABLE,
+    boundary_density,
     boundary_measure,
     classify_stationary,
     coordinate_stability,
@@ -24,7 +25,7 @@ from prodiso.halfspace import (
     noncoordinate_stability,
     projection_density,
 )
-from prodiso.measures import MeasureSpec
+from prodiso.measures import BumpFunction, MeasureSpec
 from prodiso.numerics import Grid, self_convolve_scaled, tabulate
 
 LOGISTIC = MeasureSpec.logistic()
@@ -209,3 +210,27 @@ def test_boundary_measure_permutation_equivariant():
     a = boundary_measure([LOGISTIC] * 3, HalfSpace((1.0, -1.0, 0.0), 0.2))
     b = boundary_measure([LOGISTIC] * 3, HalfSpace((0.0, 1.0, -1.0), 0.2))
     assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("m", [MeasureSpec.two_sided_exponential(),
+                               MeasureSpec.power_law(1.5)],
+                         ids=lambda m: m.label)
+def test_boundary_density_rejects_kinks(m):
+    # theta = -psi'' does not exist at 0, a node of every symmetric grid
+    with pytest.raises(NonDifferentiablePoint):
+        boundary_density(m, -1, 0.0, Grid.symmetric_grid(4.0, 101))
+
+
+def test_boundary_density_of_bumped_gaussian():
+    # on the bisector x1 = x2 of the perturbed Gaussian, nu is proportional
+    # to exp(-2 V(s)) and theta is V''(s), V(s) = s^2/2 + eps bump(s)
+    bump = BumpFunction((0.7, -0.3), (1.0, 0.0), (1.0, 1.5))
+    eps = 0.05
+    grid = Grid.symmetric_grid(16.0, 801)
+    nu, theta = boundary_density(MeasureSpec.gaussian_bump(eps, bump), -1,
+                                 0.0, grid)
+    s = grid.nodes() / math.sqrt(2.0)
+    b, _, b2 = bump.evaluate(s)
+    assert np.array_equal(theta, 1.0 + eps * b2)
+    ref = np.exp(-(s * s + 2.0 * eps * b))
+    assert np.max(np.abs(nu / nu.max() - ref / ref.max())) <= 1e-14

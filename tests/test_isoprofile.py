@@ -111,7 +111,10 @@ def test_clt_trace_leaves_scipy_signal_unimported():
             "m = prodiso.MeasureSpec.power_law(4.0)\n"
             "prodiso.profile_envelope(m, [0.0, 0.2, 0.5, 0.9, 1.0])\n"
             "prodiso.profile_1d(prodiso.MeasureSpec.power_law(1.5), 0.3)\n"
-            "assert 'scipy.optimize' not in sys.modules\n")
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "prodiso.noncoordinate_stability(prodiso.MeasureSpec.logistic(),"
+            " -1, 0.0, 3)\n"
+            "assert 'scipy.special' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -229,3 +229,32 @@ def test_cdf_table_built_once(monkeypatch):
     other = MeasureSpec.power_law(3.0)
     assert other == m and hash(other) == hash(m)
     assert "_cdf_table" not in other.__dict__
+
+
+def test_bumped_gaussian_table_splits_at_breakpoints(monkeypatch):
+    bump = BumpFunction((0.5, -0.2, 0.8), (1.0, 0.0, 0.6), (1.0, 0.5, 0.8))
+    # the atom ends +-c +-w, sorted and without repeats
+    assert bump.breakpoints == pytest.approx(
+        (-2.0, -1.4, -0.5, -0.2, 0.0, 0.2, 0.5, 1.4, 2.0), abs=1e-15)
+    m = MeasureSpec.gaussian_bump(0.3, bump)
+    table = m._cdf_table
+    # every panel ends where the atoms stop being analytic, so the Gauss
+    # pair agrees on all of them and none falls back to adaptive quadrature
+    assert set(bump.breakpoints) <= set(table.nodes)
+    assert not table.adaptive.any()
+    for x in bump.breakpoints:
+        assert abs(m.quantile(m.cdf(x)) - x) <= 1e-15
+    # a level next to a mollifier edge costs a few density calls, not the
+    # dozens an adaptive panel takes
+    density = MeasureSpec.density
+    calls = []
+
+    def counting(self, x):
+        calls.append(1)
+        return density(self, x)
+
+    levels = [m.cdf(x + d) for x in bump.breakpoints for d in (-1e-3, 1e-6)]
+    monkeypatch.setattr(MeasureSpec, "density", counting)
+    for t in levels:
+        m.quantile(t)
+    assert len(calls) <= 4 * len(levels)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodiso.errors import HypothesisViolated, InfeasibleBasis, NonEvenBump
 from prodiso.measures import BumpFunction
+from prodiso.numerics import integrate
 from prodiso.perturb import (
     design_bump,
     eigen_curves,
@@ -36,6 +39,27 @@ def test_slopes_linear():
     comb = BumpFunction((2.0, -0.5), (0.5, 2.0), (0.7, 1.1))
     sc = np.array(perturbation_slopes(comb))
     assert np.max(np.abs(sc - (2.0 * s1 - 0.5 * s2))) < 1e-12
+
+
+_KERNELS = (
+    lambda x: (x * x - 1.0) * np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi),
+    lambda x: (-4.0 * x ** 4 + 12.0 * x * x - 3.0) * np.exp(-x * x)
+    * 2.0 / math.sqrt(math.pi),
+    lambda x: (2.0 * x * x - 1.0) * np.exp(-x * x) * 2.0 / math.sqrt(math.pi),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(atoms=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 3.0),
+                                st.floats(0.2, 4.0)), min_size=1, max_size=3))
+def test_fixed_rule_slopes_match_adaptive_quadrature(atoms):
+    bump = BumpFunction(*map(tuple, zip(*atoms)))
+    cuts = bump.breakpoints
+    ref = [integrate(lambda x: bump(x) * k(x), cuts[0], cuts[-1],
+                     rel_tol=1e-13, points=cuts) for k in _KERNELS]
+    scale = sum(abs(c) for c in bump.coefficients)
+    for got, want in zip(perturbation_slopes(bump), ref):
+        assert abs(got - want) <= 1e-13 * scale
 
 
 def test_wide_flat_bump_lambda_slope_vanishes():

@@ -63,6 +63,17 @@ def test_gaussian_gap_and_scaling():
         assert abs(lam * sigma ** 2 - 1.0) < 1e-6
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(sigma=st.floats(0.3, 7.0))
+def test_gaussian_gap_scales_as_inverse_variance(sigma):
+    # lambda(sigma) sigma^2 = lambda(1): the truncation, the grid and the
+    # density all scale with sigma, so only rounding separates the two
+    opts = GapOptions(n=401)
+    unit = spectral_gap(MeasureSpec.gaussian(1.0), opts)
+    lam = spectral_gap(MeasureSpec.gaussian(sigma), opts)
+    assert abs(lam * sigma ** 2 - unit) <= 1e-11 * unit
+
+
 def test_logistic_gap():
     lam = spectral_gap(MeasureSpec.logistic())
     assert abs(lam - 0.25) < 1e-6
