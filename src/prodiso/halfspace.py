@@ -32,6 +32,11 @@ from .spectral import (
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_STATIONARY_SAMPLES = 1000   # quasi-uniform points per psi'' identity
+_STATIONARY_TOL = 1e-8       # psi'' mismatch still counted as an identity
+_CURVATURE_SAMPLES = 200     # boundary points of mean_curvature_residual
+_CURVATURE_SEED = 3
+_REGION_SCAN = 4001          # levels scanned by coordinate_stable_region
 
 COORDINATE = "coordinate"
 TWO_COMPONENT_MATCHED = "two_component_matched"
@@ -139,18 +144,8 @@ def _psi2(m: MeasureSpec, x: np.ndarray) -> np.ndarray:
     return m.log_density(x)[2]
 
 
-def _is_gaussian_like(m: MeasureSpec, samples: np.ndarray,
-                      tol: float = 1e-8) -> tuple[bool, float]:
-    """Sampled constancy of psi''; returns (is_constant, mean value)."""
-    dd = _psi2(m, samples)
-    mean = float(np.mean(dd))
-    dev = float(np.max(dd) - np.min(dd))
-    return dev <= tol * (1.0 + abs(mean)), mean
-
-
-def classify_stationary(measures: list[MeasureSpec], hs: HalfSpace,
-                        tol: float = 1e-8,
-                        samples: int = 1000) -> StationarityVerdict:
+def classify_stationary(measures: list[MeasureSpec],
+                        hs: HalfSpace) -> StationarityVerdict:
     """Decide whether the half-space has constant weighted mean curvature.
 
     One active component: always stationary (coordinate case).  Two active
@@ -158,7 +153,9 @@ def classify_stationary(measures: list[MeasureSpec], hs: HalfSpace,
     the line; for identical measures with equal magnitudes this specializes
     to periodicity (opposite signs) or symmetry about tau/2 (equal signs)
     of psi''.  Three or more active components: stationary iff every active
-    factor is Gaussian with the same variance.
+    factor is Gaussian with the same variance.  The identities are checked
+    at 1000 quasi-uniform points, to 1e-8 (relative to 1 + |psi''| where
+    psi'' must be constant).
     """
     if len(measures) != hs.dim:
         raise DimensionMismatch(
@@ -176,7 +173,7 @@ def classify_stationary(measures: list[MeasureSpec], hs: HalfSpace,
     if len(active) == 2:
         i, j = active
         if abs(hs.v[i]) < abs(hs.v[j]):
-            i, j = j, i          # reference j has the larger magnitude? keep i as free variable
+            i, j = j, i    # j, the larger component, is the reference
         # boundary: x_j = tau - alpha * x_i with the identity below
         alpha = hs.v[i] / hs.v[j]
         tau = hs.t / hs.v[j]
@@ -188,11 +185,12 @@ def classify_stationary(measures: list[MeasureSpec], hs: HalfSpace,
         lo, hi = max(-bi, ends[0]), min(bi, ends[1])
         if not hi > lo:
             lo, hi = -1.0, 1.0
-        s = _quasi_uniform(lo, hi, samples)
-        resid = float(np.max(np.abs(_psi2(mi, s) - _psi2(mj, tau - alpha * s))))
+        s = _quasi_uniform(lo, hi, _STATIONARY_SAMPLES)
+        diff = np.abs(_psi2(mi, s) - _psi2(mj, tau - alpha * s))
+        resid = float(np.max(diff))
         same = mi == mj
         details = {"alpha": alpha, "tau": tau, "i": i, "j": j}
-        if resid <= tol:
+        if resid <= _STATIONARY_TOL:
             if same and abs(abs(alpha) - 1.0) <= 1e-12:
                 if alpha < 0:
                     details["period"] = abs(tau)
@@ -200,8 +198,7 @@ def classify_stationary(measures: list[MeasureSpec], hs: HalfSpace,
                 details["symmetry_center"] = tau / 2.0
                 return StationarityVerdict(SYMMETRIC_PLUS, resid, details)
             return StationarityVerdict(TWO_COMPONENT_MATCHED, resid, details)
-        worst = int(np.argmax(np.abs(_psi2(mi, s) - _psi2(mj, tau - alpha * s))))
-        details["violating_sample"] = float(s[worst])
+        details["violating_sample"] = float(s[int(np.argmax(diff))])
         return StationarityVerdict(NOT_STATIONARY, resid, details)
 
     # three or more active components: all-Gaussian with equal variance
@@ -209,17 +206,17 @@ def classify_stationary(measures: list[MeasureSpec], hs: HalfSpace,
     dev_max = 0.0
     for i in active:
         b = measures[i].truncation_interval(1e-10)[1]
-        s = _quasi_uniform(-b, b, samples)
-        ok, mean = _is_gaussian_like(measures[i], s, tol)
-        dd = _psi2(measures[i], s)
-        dev_max = max(dev_max, float(np.max(dd) - np.min(dd)))
-        if not ok:
+        dd = _psi2(measures[i], _quasi_uniform(-b, b, _STATIONARY_SAMPLES))
+        mean = float(np.mean(dd))
+        dev = float(np.max(dd) - np.min(dd))
+        dev_max = max(dev_max, dev)
+        if not dev <= _STATIONARY_TOL * (1.0 + abs(mean)):
             return StationarityVerdict(
                 NOT_STATIONARY, dev_max,
                 {"reason": "non-constant psi''", "axis": i})
         consts.append(mean)
     spread = max(consts) - min(consts)
-    if spread > tol * (1.0 + abs(consts[0])):
+    if spread > _STATIONARY_TOL * (1.0 + abs(consts[0])):
         return StationarityVerdict(
             NOT_STATIONARY, float(spread),
             {"reason": "unequal Gaussian variances", "values": consts})
@@ -227,8 +224,8 @@ def classify_stationary(measures: list[MeasureSpec], hs: HalfSpace,
                                {"psi_second": consts[0]})
 
 
-def mean_curvature_residual(measures: list[MeasureSpec], hs: HalfSpace,
-                            samples: int = 200, seed: int = 3) -> float:
+def mean_curvature_residual(measures: list[MeasureSpec],
+                            hs: HalfSpace) -> float:
     """Spread (max - min) of the weighted mean curvature over boundary points.
 
     Direct numeric cross-check of ``classify_stationary``: the residual is
@@ -237,16 +234,14 @@ def mean_curvature_residual(measures: list[MeasureSpec], hs: HalfSpace,
     if len(measures) != hs.dim:
         raise DimensionMismatch(
             f"{len(measures)} measures for a {hs.dim}-dimensional direction")
-    if samples < 2:
-        raise DomainError("need at least two boundary samples")
     active = hs.nonzero
     if len(active) == 1:
         return 0.0
     j = hs.reference
-    rng = np.random.default_rng(seed)
-    vals = np.empty(samples)
+    rng = np.random.default_rng(_CURVATURE_SEED)
+    vals = np.empty(_CURVATURE_SAMPLES)
     free = [i for i in active if i != j]
-    for k in range(samples):
+    for k in range(_CURVATURE_SAMPLES):
         x = np.zeros(hs.dim)
         for i in free:
             b = measures[i].truncation_interval(1e-6)[1]
@@ -279,8 +274,8 @@ def coordinate_stability(m: MeasureSpec, t: float,
 
 
 def coordinate_stable_region(m: MeasureSpec,
-                             gap_options: GapOptions | None = None,
-                             n_scan: int = 4001) -> list[tuple[float, float]]:
+                             gap_options: GapOptions | None = None
+                             ) -> list[tuple[float, float]]:
     """Sublevel region {t : -psi''(t) <= spectral gap} as intervals.
 
     Scans the truncation interval and refines crossings by bisection; a
@@ -289,7 +284,7 @@ def coordinate_stable_region(m: MeasureSpec,
     """
     lam = spectral_gap(m, gap_options)
     b = m.truncation_interval(1e-10)[1]
-    ts = np.linspace(-b, b, n_scan)
+    ts = np.linspace(-b, b, _REGION_SCAN)
     if m._singular_points():
         ts = ts + 0.5 * (ts[1] - ts[0])     # dodge kinks at grid points
         ts = ts[ts < b]
@@ -375,11 +370,11 @@ def noncoordinate_stability(m: MeasureSpec, alpha: int, tau: float,
     grid = Grid.symmetric_grid(half_width, n)
     nu, theta = boundary_density(m, alpha, tau, grid)
 
-    p1 = check_P1(nu, theta, grid, solver_margin)
+    p1 = check_P1(nu, theta, grid)
     certs = {"lambda_tau": lam, "p1_eigenvalue": p1.value}
     checks = [p1.value]
     if dim >= 3:
-        p2 = check_P2(nu, theta, lam, grid, solver_margin)
+        p2 = check_P2(nu, theta, lam, grid)
         certs["p2_infimum"] = p2.value
         checks.append(p2.value)
 

@@ -65,8 +65,7 @@ def compute_c() -> float:
 
 
 def tensor_lower_bound(m: MeasureSpec, t: float,
-                       gap_options: GapOptions | None = None,
-                       lam: float | None = None) -> float:
+                       gap_options: GapOptions | None = None) -> float:
     """Dimension-free lower bound sqrt(lambda) * c * t(1-t).
 
     Valid for every product power of the measure because the spectral gap
@@ -76,9 +75,7 @@ def tensor_lower_bound(m: MeasureSpec, t: float,
         raise NotLogConcave("lower bound requires a log-concave measure")
     if not 0.0 <= t <= 1.0:
         raise DomainError("profile argument must lie in [0, 1]")
-    if lam is None:
-        lam = spectral_gap(m, gap_options)
-    return math.sqrt(lam) * compute_c() * t * (1.0 - t)
+    return math.sqrt(spectral_gap(m, gap_options)) * compute_c() * t * (1.0 - t)
 
 
 def clt_upper_bound(m: MeasureSpec, t: float, n_max: int,
@@ -134,7 +131,7 @@ def profile_envelope(m: MeasureSpec, t_grid,
     lam = spectral_gap(m, gap_options)
     sigma = math.sqrt(m.variance)
     one = np.array([profile_1d(m, t) for t in ts])
-    low = np.array([tensor_lower_bound(m, t, lam=lam) for t in ts])
+    low = math.sqrt(lam) * compute_c() * ts * (1.0 - ts)
     gauss = np.array([0.0 if t in (0.0, 1.0) else
                       math.exp(-0.5 * _ndtri(t) ** 2) / math.sqrt(2 * math.pi)
                       / sigma for t in ts])

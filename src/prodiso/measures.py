@@ -36,6 +36,7 @@ LOG_CONCAVE = "log_concave"
 UNKNOWN = "unknown"
 
 _DEFAULT_TAIL = 1e-12
+_FLAG_TOL = 1e-10    # absolute deviation verify_flags still accepts
 _ndtri = NormalDist().inv_cdf
 
 # The CDF table: mass left outside [-b, b], Gauss panels per segment between
@@ -451,10 +452,11 @@ class MeasureSpec:
 
     # -- diagnostics --------------------------------------------------
 
-    def verify_flags(self, samples: int = 512, tol: float = 1e-10) -> dict:
-        """Sampled check of the declared symmetry / log-concavity flags."""
+    def verify_flags(self) -> dict:
+        """Sampled check of the declared symmetry / log-concavity flags, at
+        512 points per side, to an absolute 1e-10."""
         b = self._raw_truncation(1e-10)
-        x = np.linspace(1e-3, b * 0.999, samples)
+        x = np.linspace(1e-3, b * 0.999, 512)
         fx = self.density(x)
         fmx = self.density(-x)
         sym_dev = float(np.max(np.abs(fx - fmx)))
@@ -462,14 +464,14 @@ class MeasureSpec:
         max_dd = float(np.nanmax(dd))
         report = {
             "symmetry_deviation": sym_dev,
-            "symmetry_ok": (not self.symmetric) or sym_dev <= tol,
+            "symmetry_ok": (not self.symmetric) or sym_dev <= _FLAG_TOL,
             "max_psi_second": max_dd,
             "log_concavity_ok": True,
         }
         if self.log_concavity == STRICTLY_LOG_CONCAVE:
             report["log_concavity_ok"] = max_dd < 0.0
         elif self.log_concavity == LOG_CONCAVE:
-            report["log_concavity_ok"] = max_dd <= tol
+            report["log_concavity_ok"] = max_dd <= _FLAG_TOL
         return report
 
     @property

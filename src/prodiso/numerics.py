@@ -43,6 +43,7 @@ _WH = np.array([
     0.09344442345603364, 0.0761001136283796, 0.057134425426857004, 0.03695378977085202,
     0.016017228257774067])
 _MAX_DEPTH = 50     # bisections of one panel before integrate gives up
+_NEWTON_STEPS = 60  # evaluations of one bracketed Newton solve
 
 
 def _panel(f, a: float, b: float) -> tuple[float, float]:
@@ -102,16 +103,16 @@ def _composite_nodes(cuts, panels: int, x: np.ndarray):
     return ends, c[:, None] + r[:, None] * x, r
 
 
-def _bracketed_newton(fun, lo: float, hi: float, x: float, tol: float,
-                      max_steps: int = 60) -> float:
+def _bracketed_newton(fun, lo: float, hi: float, x: float,
+                      tol: float) -> float:
     """Root in [lo, hi] of an increasing ``fun``, by Newton steps from x.
 
     ``fun(x)`` returns (value, derivative).  Every evaluation narrows the
     bracket, and a step that leaves it is replaced by bisection.  Stops when
     |value| <= tol or when the step or the bracket reaches round-off;
-    raises NoConvergence after ``max_steps`` evaluations.
+    raises NoConvergence after 60 evaluations.
     """
-    for _ in range(max_steps):
+    for _ in range(_NEWTON_STEPS):
         val, der = fun(x)
         if abs(val) <= tol:
             return x

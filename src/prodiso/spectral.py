@@ -9,8 +9,8 @@ iteration with the constraint eliminated by the Schur complement, and an
 LDL^T inertia count that certifies the eigenvalue as the smallest
 admissible one.  The 2-D oracle's pencil is an ``EigenProblem`` too, once
 fast diagonalization in one factor splits it into tridiagonal blocks.
-The spectral gap, whose mass equals its stiffness weight, keeps LAPACK
-bisection on the mass-scaled matrix and is memoized per (measure, options).
+The spectral gap is the same solver's mean-constrained eigenvalue, so it
+carries the same certificate, and is memoized per (measure, options).
 
 Also hosts the weighted-tensorization condition checks, whose values and
 zero-mass test do not change when the boundary density is scaled, a
@@ -65,12 +65,6 @@ class EigenProblem:
     mass_diag: np.ndarray
     constraint: np.ndarray | None = None
 
-    def mass_scaled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """s = diag(M)^(-1/2) and S = M^(-1/2) A M^(-1/2) as (s, diag, off),
-        for M > 0: S stays of order 1/h^2 where A and M span decades."""
-        s = 1.0 / np.sqrt(self.mass_diag)
-        return s, self.diag * s * s, self.off * s[:-1] * s[1:]
-
     @functools.cached_property
     def _equilibrated(self) -> tuple[np.ndarray, ...]:
         """D = diag(big)^(-1/2), ``big`` the largest |entry| of each row of
@@ -110,7 +104,6 @@ class EigenResult:
     value: float
     residual: float
     eigenvector: np.ndarray | None = None
-    grid: Grid | None = None
     lower_bound: float = -math.inf
     solves: int = 0
 
@@ -281,7 +274,7 @@ def _shift_invert(problem: EigenProblem, y: np.ndarray) -> EigenResult:
         raise NoConvergence("shift-invert iteration did not converge")
 
     return EigenResult(rho, _residual(ay, rho, m * y, c),
-                       y / np.max(np.abs(y)), problem.grid, lo, solves)
+                       y / np.max(np.abs(y)), lo, solves)
 
 
 def _residual(au: np.ndarray, rho: float, mass_u: np.ndarray,
@@ -316,21 +309,18 @@ class GapOptions:
     tail_mass: float = 1e-12
     n: int = 4001
     b: float | None = None
-    extrapolate: bool = True
 
 
 def _gap_single(m, b: float, n: int) -> float:
     grid = Grid.symmetric_grid(b, n)
     w = m.density(grid.nodes())
-    # drop tails where the density underflows outright; the tridiagonal
-    # bisection solver tolerates any representable dynamic range
+    # drop only the tails where the density underflows outright, so that the
+    # grid keeps spanning the b and 2b the Richardson model assumes; the
+    # solver's equilibrated factor takes any representable dynamic range
     grid, w = _crop_support(w, grid, floor=1e-290)
-    # with mass = stiffness weight the mean constraint only removes the
-    # constant null mode: the gap is the second eigenvalue of the
-    # mass-scaled matrix
-    _, d, e = assemble(w, w, grid).mass_scaled()
-    return float(eigh_tridiagonal(d, e, select="i", select_range=(1, 1),
-                                  eigvals_only=True)[0])
+    # with mass = stiffness weight the mean constraint removes exactly the
+    # constant null mode, so the constrained minimum is the gap
+    return solve_smallest(assemble(w, w, grid, constraint_weight=w)).value
 
 
 _GAP_MEMO_SIZE = 128    # (measure, options) pairs whose gaps are kept
@@ -364,8 +354,6 @@ def spectral_gap(m, opts: GapOptions | None = None) -> float:
 def _spectral_gap(m, opts: GapOptions) -> float:
     b = opts.b if opts.b is not None else m.truncation_interval(opts.tail_mass)[1]
     n = opts.n
-    if not opts.extrapolate:
-        return _gap_single(m, b, n)
     lam_h = _gap_single(m, b, n)
     lam_h2 = _gap_single(m, b, 2 * n - 1)
     lam_b = lam_h2 + (lam_h2 - lam_h) / 3.0
@@ -418,58 +406,52 @@ def _theta_negligible(theta: np.ndarray, nu: np.ndarray, grid: Grid) -> bool:
     return float(np.sum(theta * nu * trap)) <= _THETA_ZERO_MASS * scale
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    value: float          # P1: the eigenvalue; P2: the infimum
-    holds: bool
-    margin: float         # value - 1
-
-
-def check_P1(nu, theta, grid: Grid,
-             solver_margin: float = DEFAULT_SOLVER_MARGIN) -> ConditionCheck:
+def check_P1(nu, theta, grid: Grid) -> EigenResult:
     """Zero-mean weighted Poincare condition.
 
     Computes lambda* = inf { int v'^2 dnu / int v^2 theta dnu :
-    int v dnu = 0 }; the condition holds iff lambda* >= 1.
+    int v dnu = 0 }; the condition holds iff lambda* >= 1.  Returns the
+    certified solver's result, whose ``value`` is lambda*.
     """
-    return _condition(nu, theta, grid, solver_margin, constrained=True)
+    return _condition(nu, theta, grid, constrained=True)
 
 
-def check_P2(nu, theta, lambda_tau: float, grid: Grid,
-             solver_margin: float = DEFAULT_SOLVER_MARGIN) -> ConditionCheck:
+def check_P2(nu, theta, lambda_tau: float, grid: Grid) -> EigenResult:
     """Shifted (unconstrained) weighted Poincare condition.
 
     Computes inf ( lambda_tau int v^2 dnu + int v'^2 dnu ) / int v^2 theta
-    dnu over all v; holds iff the infimum is >= 1.
+    dnu over all v; holds iff the infimum is >= 1.  Returns the certified
+    solver's result, whose ``value`` is the infimum.
     """
     if lambda_tau < 0:
         raise DomainError("lambda_tau must be nonnegative")
-    return _condition(nu, theta, grid, solver_margin, shift=lambda_tau)
+    return _condition(nu, theta, grid, shift=lambda_tau)
 
 
-def _condition(nu, theta, grid: Grid, solver_margin: float,
-               constrained: bool = False,
-               shift: float = 0.0) -> ConditionCheck:
+def _condition(nu, theta, grid: Grid, constrained: bool = False,
+               shift: float = 0.0) -> EigenResult:
     """Smallest eigenvalue of the cropped pencil (nu stiffness, theta nu
-    mass), mean-constrained or shifted by ``shift`` nu, against 1."""
+    mass), mean-constrained or shifted by ``shift`` nu; infinite when
+    theta carries no mass against nu."""
     nu = np.asarray(nu, dtype=float)
     theta = np.asarray(theta, dtype=float)
     _check_theta(theta)
     if _theta_negligible(theta, nu, grid):
-        return ConditionCheck(math.inf, True, math.inf)
+        return EigenResult(math.inf, 0.0, lower_bound=math.inf)
     grid, nu, theta = _crop_support(nu, grid, theta)
-    prob = assemble(nu, theta * nu, grid,
-                    constraint_weight=nu if constrained else None,
-                    shift=shift, shift_mass_weight=nu)
-    val = solve_smallest(prob).value
-    return ConditionCheck(val, val >= 1.0 - solver_margin, val - 1.0)
+    return solve_smallest(assemble(nu, theta * nu, grid,
+                                   constraint_weight=nu if constrained else None,
+                                   shift=shift, shift_mass_weight=nu))
 
 
 # ---------------------------------------------------------------------------
 # Brascamp-Lieb residual
 # ---------------------------------------------------------------------------
 
-def brascamp_lieb_residual(m, u, du=None, rel_tol: float = 1e-10) -> float:
+_BL_REL_TOL = 1e-10    # of each of the four integrals
+
+
+def brascamp_lieb_residual(m, u, du=None) -> float:
     """Residual  int u'^2 / g'' dmu  -  Var_mu(u)  for dmu = e^{-g} dx.
 
     Nonnegative for strictly convex g by the weighted Poincare inequality of
@@ -486,17 +468,17 @@ def brascamp_lieb_residual(m, u, du=None, rel_tol: float = 1e-10) -> float:
         def du(x, _u=u):  # noqa: E731 - simple fallback closure
             h = 1e-6
             return (np.asarray(_u(x + h)) - np.asarray(_u(x - h))) / (2 * h)
-    mass = integrate(lambda x: m.density(x), a, b, rel_tol=rel_tol)
+    mass = integrate(lambda x: m.density(x), a, b, rel_tol=_BL_REL_TOL)
     mean = integrate(lambda x: np.asarray(u(x)) * m.density(x), a, b,
-                     rel_tol=rel_tol) / mass
+                     rel_tol=_BL_REL_TOL) / mass
     var = integrate(lambda x: (np.asarray(u(x)) - mean) ** 2 * m.density(x),
-                    a, b, rel_tol=rel_tol) / mass
+                    a, b, rel_tol=_BL_REL_TOL) / mass
 
     def energy(x):
         _, _, ddl = m.log_density(x)
         return np.asarray(du(x)) ** 2 / (-ddl) * m.density(x)
 
-    en = integrate(energy, a, b, rel_tol=rel_tol) / mass
+    en = integrate(energy, a, b, rel_tol=_BL_REL_TOL) / mass
     return float(en - var)
 
 
@@ -508,8 +490,8 @@ def brascamp_lieb_residual(m, u, du=None, rel_tol: float = 1e-10) -> float:
 class TensorOracleResult:
     lambda_2d: float
     agrees: bool
-    p1: ConditionCheck
-    p2: ConditionCheck
+    p1: EigenResult
+    p2: EigenResult
     lambda_tau: float
     inconclusive: bool = False
     witness: np.ndarray | None = field(default=None, compare=False)
@@ -517,6 +499,8 @@ class TensorOracleResult:
 
 
 _DECOUPLED = 1e-13    # per node: orthogonality and residual of Q, relative
+_ORACLE_BUDGET = 201  # largest n of an n x n product grid
+_ORACLE_NEAR = 0.02   # distance from 1 within which a split verdict is a tie
 
 
 def _decoupled_pencil(x: EigenProblem, y: EigenProblem,
@@ -538,7 +522,8 @@ def _decoupled_pencil(x: EigenProblem, y: EigenProblem,
     relative n_x * 1e-13.  Returns the pencil and Phi; the pencil's vector
     v is u = (I (x) Phi) v, that is U = (Phi V)^T for V = v.reshape(n_x, -1).
     """
-    s, d, e = x.mass_scaled()
+    s = 1.0 / np.sqrt(x.mass_diag)
+    d, e = x.diag * s * s, x.off * s[:-1] * s[1:]
     mu, q = eigh_tridiagonal(d, e)
     n = len(mu)
     tol = _DECOUPLED * n
@@ -557,8 +542,7 @@ def _decoupled_pencil(x: EigenProblem, y: EigenProblem,
     return pencil, phi
 
 
-def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
-                     threshold: float = 0.02) -> TensorOracleResult:
+def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
     """Product-grid falsification oracle for the two 1-D conditions.
 
     Solves  inf int |Du|^2 dtau dnu / int u^2 theta(y) dtau dnu  over
@@ -566,10 +550,10 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
     the 2-D pencil decoupled in the tau factor, and checks that the verdict
     "infimum >= 1" matches (P1 and P2).  The reported lambda_2d and its
     ``residual`` are those of the eigenvector on the assembled 2-D operator.
-    Near-threshold instances (within ``threshold`` of 1 on either side)
-    count as inconclusive agreement.
+    Near-threshold instances (within 0.02 of 1 on either side) count as
+    inconclusive agreement.  Grids above n = 201 raise OutOfBudget.
     """
-    if grid.n > budget:
+    if grid.n > _ORACLE_BUDGET:
         raise OutOfBudget(f"product grid {grid.n}x{grid.n} exceeds budget")
     nu = np.asarray(nu, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -609,10 +593,10 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid, budget: int = 201,
     residual = _residual(au.ravel(), lam2d, mass_u.ravel(), c2.ravel())
 
     verdict_2d = lam2d >= 1.0
-    verdict_1d = p1.holds and p2.holds
-    near = (abs(lam2d - 1.0) <= threshold
-            or abs(p1.value - 1.0) <= threshold
-            or abs(p2.value - 1.0) <= threshold)
+    verdict_1d = min(p1.value, p2.value) >= 1.0 - DEFAULT_SOLVER_MARGIN
+    near = (abs(lam2d - 1.0) <= _ORACLE_NEAR
+            or abs(p1.value - 1.0) <= _ORACLE_NEAR
+            or abs(p2.value - 1.0) <= _ORACLE_NEAR)
     agrees = verdict_2d == verdict_1d or near
     return TensorOracleResult(
         lam2d, bool(agrees), p1, p2, lambda_tau,

@@ -142,7 +142,7 @@ def test_criterion_08_tensorization_oracle():
     disagreements = 0
     for _ in range(25):
         nu, tau, theta, grid = random_oracle_instance(rng, n=101)
-        r = tensor_oracle_2d(nu, tau, theta, grid, threshold=0.02)
+        r = tensor_oracle_2d(nu, tau, theta, grid)
         if not r.agrees:
             disagreements += 1
     _report(8, disagreements == 0,

@@ -69,6 +69,35 @@ def test_stable_coordinate(capsys):
     assert "stable" in out.split()
 
 
+def test_stable_csv_artifact(tmp_path, capsys):
+    # stable has no table of its own: the artifact's keys become rows
+    path = tmp_path / "stable.csv"
+    code, _, _ = run(capsys, "stable", "--measure", "logistic",
+                     "--halfspace", "coordinate:3.0", "--out", str(path),
+                     "--format", "csv")
+    assert code == 0
+    rows = dict(line.split(",", 1)
+                for line in path.read_text().splitlines())
+    assert rows["key"] == "value"
+    assert rows["measure"] == "logistic"
+    assert rows["tag"] == "stable"
+    assert abs(float(rows["certificates.lambda"]) - 0.25) < 1e-9
+
+
+def test_stable_explicit_direction(capsys):
+    # "v1,v2;t" names the bisector (1, -1)/sqrt 2 at t = 0 directly
+    code, out, _ = run(capsys, "stable", "--measure", "logistic",
+                       "--halfspace", "1,-1;0", "--dim", "2")
+    assert code == 0
+    certs = dict(w.split("=") for w in out.split()[2:])
+    assert out.split()[1] == "stable"
+    assert abs(float(certs["p1_eigenvalue"]) - 1.5) < 1e-4
+    code, _, err = run(capsys, "stable", "--measure", "logistic",
+                       "--halfspace", "1,-1;0", "--dim", "3")
+    assert code == 1
+    assert "--dim" in err
+
+
 def test_profile(capsys):
     code, out, _ = run(capsys, "profile", "--measure", "logistic",
                        "--t", "0.25")

@@ -47,6 +47,18 @@ def test_profile_symmetric_and_numeric_kinds():
     assert profile_1d(m, 0.0) == 0.0 and profile_1d(m, 1.0) == 0.0
 
 
+def test_profile_of_an_asymmetric_custom_measure():
+    # N(1, 1) as a custom measure that is not flagged symmetric: both
+    # half-lines are evaluated, and the profile is the Gaussian one
+    def shifted(x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * (x - 1.0) ** 2, x - 1.0, np.ones_like(x)
+
+    m = MeasureSpec.custom(shifted, log_concavity="strictly_log_concave")
+    for t in (0.05, 0.3, 0.5, 0.8):
+        assert abs(profile_1d(m, t) - profile_1d(GAUSSIAN, t)) < 1e-9
+
+
 def test_profile_validation():
     with pytest.raises(DomainError):
         profile_1d(LOGISTIC, 1.5)
@@ -68,12 +80,11 @@ def test_constant_c():
 
 
 def test_tensor_lower_bound_below_profile():
-    lam = 0.25
     for t in (0.1, 0.3, 0.5):
-        lower = tensor_lower_bound(LOGISTIC, t, lam=lam)
+        lower = tensor_lower_bound(LOGISTIC, t)
         assert lower <= profile_1d(LOGISTIC, t) + 1e-12
         assert lower > 0.0
-    assert tensor_lower_bound(LOGISTIC, 0.0, lam=lam) == 0.0
+    assert tensor_lower_bound(LOGISTIC, 0.0) == 0.0
 
 
 def test_clt_trace_logistic():

@@ -105,6 +105,30 @@ def test_from_descriptor():
         MeasureSpec.from_descriptor("nope")
 
 
+def test_from_descriptor_gaussian_bump():
+    text = json.dumps({"kind": "gaussian_bump", "eps": 0.3,
+                       "bump": {"coefficients": [0.5, -0.2],
+                                "centers": [1.0, 0.0],
+                                "widths": [0.8, 0.6]}})
+    bump = BumpFunction((0.5, -0.2), (1.0, 0.0), (0.8, 0.6))
+    assert MeasureSpec.from_descriptor(text) == MeasureSpec.gaussian_bump(
+        0.3, bump)
+
+
+def _shifted_gaussian(x):
+    x = np.asarray(x, dtype=float)
+    return 0.5 * (x - 1.0) ** 2, x - 1.0, np.ones_like(x)
+
+
+SHIFTED_GAUSSIAN = MeasureSpec.custom(_shifted_gaussian,
+                                      log_concavity="strictly_log_concave")
+
+
+def test_asymmetric_custom_mean():
+    # not flagged symmetric, so the mean is integrated: N(1, 1) has mean 1
+    assert abs(SHIFTED_GAUSSIAN.mean - 1.0) < 1e-9
+
+
 def test_bump_even_and_derivatives():
     bump = BumpFunction((1.0, -0.5), (1.0, 2.5), (0.8, 1.2))
     x = np.linspace(-5.0, 5.0, 401)
