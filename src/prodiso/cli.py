@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +27,6 @@ from .perturb import design_bump, finite_diff_validate, perturbation_slopes
 from .spectral import GapOptions, random_oracle_instance, spectral_gap, tensor_oracle_2d
 
 _USAGE_EXIT = 64
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Output settings shared by all commands."""
-
-    out: str | None = None
-    format: str = "json"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,16 +71,17 @@ def _dict_to_csv(d: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(cfg: RunConfig, summary: str, artifact: dict,
+def _emit(args: argparse.Namespace, summary: str, artifact: dict,
           csv_text: str | None = None) -> None:
+    """Print the summary; write the artifact to --out in --format, if set."""
     print(summary)
-    if cfg.out is None:
+    if args.out is None:
         return
-    if cfg.format == "csv":
+    if args.format == "csv":
         text = csv_text if csv_text is not None else _dict_to_csv(artifact)
     else:
         text = json.dumps(artifact, indent=2, sort_keys=True) + "\n"
-    with open(cfg.out, "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write(text)
 
 
@@ -111,35 +103,28 @@ def _gap_options(args: argparse.Namespace) -> GapOptions:
     return GapOptions(tail_mass=args.tail_mass, n=args.grid_n)
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(out=args.out, format=args.format)
-
-
 def _measure(args: argparse.Namespace) -> MeasureSpec:
     return MeasureSpec.from_descriptor(args.measure)
 
 
 def _cmd_spectral_gap(args) -> int:
-    cfg = _config(args)
     m = _measure(args)
     lam = spectral_gap(m, _gap_options(args))
-    _emit(cfg, f"spectral-gap {lam:.6f}",
+    _emit(args, f"spectral-gap {lam:.6f}",
           {"measure": m.label, "lambda": lam})
     return 0
 
 
 def _cmd_stationary(args) -> int:
-    cfg = _config(args)
     m = _measure(args)
     hs = _parse_halfspace(args.halfspace, args.dim)
     verdict = classify_stationary([m] * args.dim, hs)
-    _emit(cfg, f"stationary {verdict.tag} residual={verdict.residual:.3g}",
+    _emit(args, f"stationary {verdict.tag} residual={verdict.residual:.3g}",
           {"measure": m.label, **verdict.to_json_dict()})
     return 0
 
 
 def _cmd_stable(args) -> int:
-    cfg = _config(args)
     m = _measure(args)
     hs = _parse_halfspace(args.halfspace, args.dim)
     active = hs.nonzero
@@ -158,22 +143,20 @@ def _cmd_stable(args) -> int:
             "stability handles coordinate and two-equal-component "
             "directions only")
     certs = " ".join(f"{k}={v:.6g}" for k, v in verdict.certificates.items())
-    _emit(cfg, f"stable {verdict.tag} {certs}",
+    _emit(args, f"stable {verdict.tag} {certs}",
           {"measure": m.label, **verdict.to_json_dict()})
     return 2 if verdict.tag == INCONCLUSIVE else 0
 
 
 def _cmd_profile(args) -> int:
-    cfg = _config(args)
     m = _measure(args)
     val = profile_1d(m, args.t)
-    _emit(cfg, f"profile {val:.6f}",
+    _emit(args, f"profile {val:.6f}",
           {"measure": m.label, "t": args.t, "profile": val})
     return 0
 
 
 def _cmd_envelope(args) -> int:
-    cfg = _config(args)
     m = _measure(args)
     ts = np.linspace(0.0, 1.0, args.grid_t)
     pb = profile_envelope(m, ts, _gap_options(args), clt_n_max=args.n_max)
@@ -186,13 +169,12 @@ def _cmd_envelope(args) -> int:
         "upper": [float(v) for v in pb.upper],
         "clt_trace": list(pb.clt_trace),
     }
-    _emit(cfg, f"envelope levels={args.grid_t} lower(1/2)={mid:.6f}",
+    _emit(args, f"envelope levels={args.grid_t} lower(1/2)={mid:.6f}",
           artifact, csv_text=pb.to_csv())
     return 0
 
 
 def _cmd_clt(args) -> int:
-    cfg = _config(args)
     m = _measure(args)
     trace = clt_upper_bound(m, args.t, args.n_max, h=args.h)
     sigma = math.sqrt(m.variance)
@@ -200,25 +182,23 @@ def _cmd_clt(args) -> int:
                 "sigma": sigma}
     csv_text = "N,value\n" + "".join(
         f"{i},{v:.17g}\n" for i, v in enumerate(trace, start=1))
-    _emit(cfg, f"clt N={args.n_max} value={trace[-1]:.6f}", artifact, csv_text)
+    _emit(args, f"clt N={args.n_max} value={trace[-1]:.6f}", artifact, csv_text)
     return 0
 
 
 def _cmd_perturb_slopes(args) -> int:
-    cfg = _config(args)
     bump = BumpFunction.from_json(args.bump)
     ld, kd, ad = perturbation_slopes(bump)
-    _emit(cfg,
+    _emit(args,
           f"perturb-slopes lambda_dot={ld:.6f} k_dot={kd:.6f} a_dot={ad:.6f}",
           {"lambda_dot": ld, "k_dot": kd, "a_dot": ad})
     return 0
 
 
 def _cmd_perturb_design(args) -> int:
-    cfg = _config(args)
     bump, report = design_bump()
     ld, kd, ad = report.slopes
-    _emit(cfg,
+    _emit(args,
           f"perturb-design feasible={report.feasible} k_dot={kd:.6f} "
           f"lambda_dot-a_dot={ld - ad:.6f}",
           json.loads(report.to_json()))
@@ -226,7 +206,6 @@ def _cmd_perturb_design(args) -> int:
 
 
 def _cmd_perturb_validate(args) -> int:
-    cfg = _config(args)
     if args.bump is not None:
         bump = BumpFunction.from_json(args.bump)
     else:
@@ -234,7 +213,7 @@ def _cmd_perturb_validate(args) -> int:
     report = finite_diff_validate(bump, tuple(args.eps))
     rel = max(abs(f - a) / (abs(a) + 1e-6)
               for f, a in zip(report.fd_slopes, report.slopes))
-    _emit(cfg,
+    _emit(args,
           f"perturb-validate max_rel_err={rel:.4f} "
           f"baselines={tuple(round(b, 6) for b in report.baselines)}",
           json.loads(report.to_json()))
@@ -242,7 +221,6 @@ def _cmd_perturb_validate(args) -> int:
 
 
 def _cmd_tensor_oracle(args) -> int:
-    cfg = _config(args)
     rng = np.random.default_rng(args.seed)
     rows = []
     disagree = 0
@@ -260,7 +238,7 @@ def _cmd_tensor_oracle(args) -> int:
     csv_text = "instance,lambda_2d,p1,p2,agrees,inconclusive\n" + "".join(
         f"{r['instance']},{r['lambda_2d']:.12g},{r['p1']:.12g},"
         f"{r['p2']:.12g},{r['agrees']},{r['inconclusive']}\n" for r in rows)
-    _emit(cfg,
+    _emit(args,
           f"tensor-oracle count={args.count} disagreements={disagree} "
           f"inconclusive={inconclusive}", artifact, csv_text)
     if disagree:

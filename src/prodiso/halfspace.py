@@ -22,7 +22,7 @@ from .errors import (
     HypothesisViolated,
 )
 from .measures import STRICTLY_LOG_CONCAVE, MeasureSpec
-from .numerics import Grid, TabulatedDensity, _partial_sums, _rescale, tabulate
+from .numerics import Grid, TabulatedDensity, _partial_sums
 from .spectral import (
     DEFAULT_SOLVER_MARGIN,
     GapOptions,
@@ -37,6 +37,7 @@ _STATIONARY_TOL = 1e-8       # psi'' mismatch still counted as an identity
 _CURVATURE_SAMPLES = 200     # boundary points of mean_curvature_residual
 _CURVATURE_SEED = 3
 _REGION_SCAN = 4001          # levels scanned by coordinate_stable_region
+_PROJECTION_H = 0.005        # grid spacing of the projection densities
 
 COORDINATE = "coordinate"
 TWO_COMPONENT_MATCHED = "two_component_matched"
@@ -385,14 +386,21 @@ def noncoordinate_stability(m: MeasureSpec, alpha: int, tau: float,
     return StabilityVerdict(INCONCLUSIVE, certs)
 
 
-def projection_density(measures: list[MeasureSpec], hs: HalfSpace,
-                       h: float = 0.005) -> TabulatedDensity:
-    """Density of sum_i v_i X_i, the last partial sum of ``_partial_sums``
-    over the factor densities tabulated on spacing h and rescaled by v_i."""
+def projection_density(measures: list[MeasureSpec],
+                       hs: HalfSpace) -> TabulatedDensity:
+    """Density of sum_i v_i X_i on a grid of spacing ``_PROJECTION_H``.
+
+    Each factor is the density f_i(x / v_i) / |v_i| of v_i X_i, sampled on
+    the symmetric grid that covers v_i times the factor's 1e-12 truncation
+    and normalized; the density is the last partial sum of
+    ``_partial_sums`` over these factors.
+    """
     def factor(i: int) -> TabulatedDensity:
-        g = Grid.covering(measures[i].truncation_interval(1e-12)[1], h)
-        return _rescale(tabulate(measures[i], g).normalized(),
-                        hs.v[i]).normalized()
+        w = hs.v[i]
+        b = abs(w) * measures[i].truncation_interval(1e-12)[1]
+        g = Grid.covering(b, _PROJECTION_H)
+        return TabulatedDensity(
+            g, measures[i].density(g.nodes() / w) / abs(w)).normalized()
 
     out = None
     for out in _partial_sums(factor(i) for i in hs.nonzero):
@@ -402,12 +410,13 @@ def projection_density(measures: list[MeasureSpec], hs: HalfSpace,
     return out
 
 
-def boundary_measure(measures: list[MeasureSpec], hs: HalfSpace,
-                     h: float = 0.005) -> float:
+def boundary_measure(measures: list[MeasureSpec], hs: HalfSpace) -> float:
     """Weighted perimeter of the half-space boundary.
 
-    Equals the density of the projection sum_i v_i X_i at the offset t;
-    coordinate directions use the factor density directly.
+    Equals the density of the projection sum_i v_i X_i at the offset t:
+    coordinate directions use the factor density directly, the others
+    interpolate ``projection_density`` linearly at t, which is exact up to
+    round-off at its grid nodes and O(_PROJECTION_H^2) between them.
     """
     if len(measures) != hs.dim:
         raise DimensionMismatch(
@@ -416,5 +425,4 @@ def boundary_measure(measures: list[MeasureSpec], hs: HalfSpace,
     if len(active) == 1:
         i = active[0]
         return float(measures[i].density(hs.t / hs.v[i]) / abs(hs.v[i]))
-    proj = projection_density(measures, hs, h)
-    return float(proj(hs.t))
+    return float(projection_density(measures, hs)(hs.t))

@@ -395,6 +395,12 @@ class MeasureSpec:
     def variance(self) -> float:
         if self.kind == "gaussian":
             return self.sigma ** 2
+        if self.kind == "logistic":
+            return math.pi ** 2 / 3.0
+        if self.kind == "exponential":
+            return 2.0
+        if self.kind == "power":
+            return math.gamma(3.0 / self.p) / math.gamma(1.0 / self.p)
         b = self._raw_truncation(1e-14)
         m = self.mean
         return float(integrate(lambda x: (x - m) ** 2 * self.density(x), -b, b,

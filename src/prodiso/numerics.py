@@ -1,12 +1,12 @@
 """Grids, adaptive quadrature, tabulated densities and discrete convolution.
 
 Densities of weighted sums of independent factors come from one pipeline:
-each factor is tabulated on a symmetric grid of a common spacing
+each factor is sampled on a symmetric grid of a common spacing
 (``Grid.covering``), and ``_partial_sums`` folds the factors left to right,
 convolving by ``numpy.fft`` (``_convolve``), renormalizing, trimming the
 negligible tails and checking that no partial sum reaches its grid boundary.
-Projections, ``self_convolve_scaled`` and the CLT traces all take their
-densities from that one loop.
+Projection densities and the CLT traces both take their densities from
+that one loop.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ _WH = np.array([
     0.016017228257774067])
 _MAX_DEPTH = 50     # bisections of one panel before integrate gives up
 _NEWTON_STEPS = 60  # evaluations of one bracketed Newton solve
+_TRIM_FLOOR = 1e-15  # tail values below this fraction of the peak are cut
 
 
 def _panel(f, a: float, b: float) -> tuple[float, float]:
@@ -226,15 +227,6 @@ def tabulate(m, g: Grid) -> TabulatedDensity:
     return TabulatedDensity(g, np.asarray(m.density(g.nodes()), dtype=float))
 
 
-def _rescale(d: TabulatedDensity, w: float) -> TabulatedDensity:
-    """Density of w*X from the density of X, resampled on a same-spacing grid."""
-    if w == 0.0:
-        raise DomainError("zero weights are not allowed")
-    aw = abs(w)
-    g = Grid.covering(aw * max(abs(d.grid.a), abs(d.grid.b)), d.grid.h)
-    return TabulatedDensity(g, d(g.nodes() / w) / aw)
-
-
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n: numpy.fft's radix-2, 3 and 5 lengths,
     never more than the next power of two and often far less."""
@@ -263,15 +255,15 @@ def _convolve(d1: TabulatedDensity, d2: TabulatedDensity) -> TabulatedDensity:
     return TabulatedDensity(Grid(a, a + h * (n - 1), n), np.clip(vals, 0.0, None))
 
 
-def _trim(d: TabulatedDensity, floor: float = 1e-15) -> TabulatedDensity:
-    """Drop symmetric tails below floor*max to keep grids desk-sized.
+def _trim(d: TabulatedDensity) -> TabulatedDensity:
+    """Drop symmetric tails below _TRIM_FLOOR * max to keep grids desk-sized.
 
     The floor sits above the round-off an FFT convolution leaves in the
     tails (up to about 1e-16 of the peak); a floor at that level trims
     nothing, and the grids of the CLT sums then grow linearly in N.
     """
     v = d.values
-    keep = np.nonzero(v > floor * v.max())[0]
+    keep = np.nonzero(v > _TRIM_FLOOR * v.max())[0]
     if len(keep) == 0:
         return d
     lo, hi = keep[0], keep[-1]
@@ -301,23 +293,3 @@ def _partial_sums(factors):
         if max(out.values[0], out.values[-1]) > 1e-10 * max(peak, 1.0):
             raise GridTooNarrow("convolution support reaches the grid boundary")
         yield out
-
-
-def self_convolve_scaled(d: TabulatedDensity, n_copies: int,
-                         weights) -> TabulatedDensity:
-    """Density of sum_i w_i X_i for independent copies X_i of ``d``.
-
-    The last partial sum of ``_partial_sums`` over the renormalized factor
-    densities of w_i X_i: FFT convolutions on the spacing of ``d``, each
-    renormalized and trimmed.  Raises GridTooNarrow when any partial sum
-    reaches its grid boundary.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n_copies,):
-        raise DomainError("need one weight per copy")
-    if not np.any(weights != 0.0):
-        raise DomainError("weights must not all vanish")
-    base = d.normalized()
-    for out in _partial_sums(_rescale(base, w).normalized() for w in weights):
-        pass
-    return out

@@ -112,43 +112,22 @@ def default_basis() -> list[BumpFunction]:
             BumpFunction((1.0,), (0.0,), (1.5,))]
 
 
-def design_bump(basis: list[BumpFunction] | None = None
-                ) -> tuple[BumpFunction, PerturbationReport]:
+def design_bump() -> tuple[BumpFunction, PerturbationReport]:
     """Find a bump with k_dot and lambda_dot - a_dot both at least
-    ``_FEASIBILITY_SLACK``, from ``basis`` (``default_basis()`` if None).
+    ``_FEASIBILITY_SLACK``, from ``default_basis()``.
 
     Both requirements are linear functionals of the bump, so the least-norm
     coefficients hitting ``_SLOPE_TARGETS`` = (k_dot, lambda_dot - a_dot)
-    come from a direct two-functional linear solve; a rank-one basis falls
-    back to a sign search along its single direction.  Raises
-    InfeasibleBasis when no combination meets both margins.
+    come from a direct two-functional linear solve.  Raises InfeasibleBasis
+    when the combined bump misses either margin.
     """
-    if basis is None:
-        basis = default_basis()
-    if not basis:
-        raise InfeasibleBasis("empty bump basis")
+    basis = default_basis()
     cols = []
     for atom in basis:
         ld, kd, ad = perturbation_slopes(atom)
         cols.append((kd, ld - ad))
     mat = np.array(cols).T                       # 2 x k functional matrix
-    rhs = np.asarray(_SLOPE_TARGETS, dtype=float)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals.size < 2 or svals[-1] <= 1e-9 * svals[0]:
-        # rank one: a single scalar direction must satisfy both signs
-        j = int(np.argmax(np.abs(mat).sum(axis=0)))
-        col = mat[:, j]
-        for sign in (1.0, -1.0):
-            s = sign * col
-            if s[0] > 0 and s[1] > 0:
-                coeffs = np.zeros(len(basis))
-                coeffs[j] = sign * float(np.min(rhs / s))
-                break
-        else:
-            raise InfeasibleBasis(
-                "bump basis is rank-deficient against the sign requirements")
-    else:
-        coeffs = np.linalg.pinv(mat) @ rhs
+    coeffs = np.linalg.pinv(mat) @ np.asarray(_SLOPE_TARGETS, dtype=float)
     combined = _combine(basis, coeffs)
     slopes = perturbation_slopes(combined)
     feasible = slopes[1] >= _FEASIBILITY_SLACK and \

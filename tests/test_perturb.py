@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodiso.errors import HypothesisViolated, InfeasibleBasis, NonEvenBump
+from prodiso.errors import HypothesisViolated, NonEvenBump
 from prodiso.measures import BumpFunction
 from prodiso.numerics import integrate
 from prodiso.perturb import (
@@ -95,14 +95,6 @@ def test_design_default():
     # the designed slopes hit the documented targets
     assert abs(kd - 0.422) < 1e-9
     assert abs((ld - ad) - 0.292) < 1e-9
-
-
-def test_design_infeasible_cases():
-    with pytest.raises(InfeasibleBasis):
-        design_bump(basis=[])
-    # a single atom cannot satisfy both sign requirements
-    with pytest.raises(InfeasibleBasis):
-        design_bump(basis=[BumpFunction((1.0,), (3.0,), (1.2,))])
 
 
 def test_eigen_curve_baselines():
