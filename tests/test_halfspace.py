@@ -26,7 +26,7 @@ from prodiso.halfspace import (
     projection_density,
 )
 from prodiso.measures import BumpFunction, MeasureSpec
-from prodiso.numerics import Grid
+from prodiso.numerics import Grid, TabulatedDensity, _partial_sums
 
 LOGISTIC = MeasureSpec.logistic()
 GAUSSIAN = MeasureSpec.gaussian(1.0)
@@ -188,6 +188,25 @@ def test_projection_density_gaussian_stability():
     x = proj.grid.nodes()
     exact = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     assert np.max(np.abs(proj.values - exact)) < 1e-10
+
+
+def test_projection_density_matches_self_convolve_scaled():
+    # the scaled self-convolution of one law is the fold of its directly
+    # sampled factors: projection_density gives the same values, and the
+    # sum keeps the law's variance for a unit direction
+    hs = HalfSpace((0.6, -0.48, 0.64), 0.0)
+    b = LOGISTIC.truncation_interval(1e-12)[1]
+    factors = []
+    for w in hs.v:
+        g = Grid.covering(abs(w) * b, 0.005)
+        factors.append(TabulatedDensity(
+            g, LOGISTIC.density(g.nodes() / w) / abs(w)).normalized())
+    for out in _partial_sums(factors):
+        pass
+    proj = projection_density([LOGISTIC] * 3, hs)
+    assert out.grid == proj.grid
+    assert np.max(np.abs(out.values - proj.values)) <= 1e-15
+    assert abs(proj.variance() - LOGISTIC.variance) < 1e-8
 
 
 def test_boundary_measure_coordinate_exact():

@@ -101,6 +101,20 @@ def test_convolution_adds_mean_and_variance():
     assert np.max(np.abs(_convolve(d, d).values - direct)) < 1e-12
 
 
+def test_self_convolve_scaled_clt_normalization():
+    # n factors of N(0, 1/n), each sampled directly, fold to N(0, 1):
+    # the Gaussian is stable under the CLT normalization
+    n = 4
+    g = Grid.symmetric_grid(12.0, 2401)
+    d = tabulate(MeasureSpec.gaussian(1.0 / math.sqrt(n)), g).normalized()
+    for out in _partial_sums([d] * n):
+        pass
+    assert abs(out.variance() - 1.0) < 1e-6
+    x = np.linspace(-3, 3, 31)
+    exact = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    assert np.max(np.abs(out(x) - exact)) < 1e-6
+
+
 _SMOOTH = sorted(2 ** a * 3 ** b * 5 ** c for a in range(25)
                  for b in range(16) for c in range(11)
                  if 2 ** a * 3 ** b * 5 ** c <= 2 ** 24)
