@@ -30,6 +30,13 @@ _USAGE_EXIT = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 64 on a usage error.  Long options are not abbreviated, so a
+    flag a command does not read (``clt --h``) is refused instead of being
+    taken for the prefix of another (``--help``)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str) -> None:  # argparse default exits 2
         self.print_usage(sys.stderr)
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
@@ -176,7 +183,7 @@ def _cmd_envelope(args) -> int:
 
 def _cmd_clt(args) -> int:
     m = _measure(args)
-    trace = clt_upper_bound(m, args.t, args.n_max, h=args.h)
+    trace = clt_upper_bound(m, args.t, args.n_max)
     sigma = math.sqrt(m.variance)
     artifact = {"measure": m.label, "t": args.t, "trace": trace,
                 "sigma": sigma}
@@ -290,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--n-max", type=int, default=16, dest="n_max")
-    p.add_argument("--h", type=float, default=0.01)
     p.set_defaults(func=_cmd_clt)
 
     p = sub.add_parser("perturb-slopes", help="analytic slopes of a bump")

@@ -388,25 +388,30 @@ def noncoordinate_stability(m: MeasureSpec, alpha: int, tau: float,
 
 def projection_density(measures: list[MeasureSpec],
                        hs: HalfSpace) -> TabulatedDensity:
-    """Density of sum_i v_i X_i on a grid of spacing ``_PROJECTION_H``.
+    """Density of sum_i v_i X_i on a grid of spacing ``_PROJECTION_H`` that
+    has the offset t among its nodes.
 
     Each factor is the density f_i(x / v_i) / |v_i| of v_i X_i, sampled on
     the symmetric grid that covers v_i times the factor's 1e-12 truncation
-    and normalized; the density is the last partial sum of
+    and normalized.  The grid of the reference factor (largest |v_i|, so
+    at least 1/sqrt(dim), hence resolved at the spacing h) is shifted by
+    t - h round(t / h), so the nodes of every partial sum lie on the
+    lattice t + h Z.  The density is the last partial sum of
     ``_partial_sums`` over these factors.
     """
+    h = _PROJECTION_H
+    shift = hs.t - h * round(hs.t / h)
+
     def factor(i: int) -> TabulatedDensity:
         w = hs.v[i]
-        b = abs(w) * measures[i].truncation_interval(1e-12)[1]
-        g = Grid.covering(b, _PROJECTION_H)
+        g = Grid.covering(abs(w) * measures[i].truncation_interval(1e-12)[1], h)
+        if i == hs.reference:
+            g = Grid(g.a + shift, g.b + shift, g.n)
         return TabulatedDensity(
             g, measures[i].density(g.nodes() / w) / abs(w)).normalized()
 
-    out = None
     for out in _partial_sums(factor(i) for i in hs.nonzero):
         pass
-    if out is None:
-        raise DomainError("direction has no nonzero component")
     return out
 
 
@@ -414,9 +419,8 @@ def boundary_measure(measures: list[MeasureSpec], hs: HalfSpace) -> float:
     """Weighted perimeter of the half-space boundary.
 
     Equals the density of the projection sum_i v_i X_i at the offset t:
-    coordinate directions use the factor density directly, the others
-    interpolate ``projection_density`` linearly at t, which is exact up to
-    round-off at its grid nodes and O(_PROJECTION_H^2) between them.
+    coordinate directions use the factor density directly, the others read
+    ``projection_density``, whose grid depends on t, at its node t.
     """
     if len(measures) != hs.dim:
         raise DimensionMismatch(

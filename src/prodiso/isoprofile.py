@@ -5,7 +5,9 @@ half-lines, so the profile is f(F^{-1}(t)) symmetrized.  Two families of
 bounds sandwich the infinite-product profile: a spectral-gap lower bound
 sqrt(lambda) * c * t(1-t) valid uniformly in the number of factors, and
 half-space upper bounds obtained from the density of normalized sums via
-the central limit theorem.
+the central limit theorem.  Those densities, and the quantiles where they
+are read, come from Fourier inversion of the characteristic function
+(``clt_upper_bound``).
 """
 
 from __future__ import annotations
@@ -17,10 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotLogConcave
+from .errors import DomainError, GridTooNarrow, NotLogConcave
 from .measures import MeasureSpec, _ndtri
-from .numerics import Grid, _bracketed_newton, _partial_sums, tabulate
+from .numerics import Grid, _bracketed_newton, _fft_length, tabulate
 from .spectral import GapOptions, spectral_gap
+
+_CLT_H = 0.01          # sampling step of the kinds without a closed-form phi
+_PHI_FLOOR = 1e-17     # Gil-Pelaez terms with |phi|^N below this are dropped
+_WRAP_TOL = 1e-10      # density half a period from the mean, relative to it
+_NEWTON_TOL = 1e-15    # |F(y) - t| at which the quantile search stops
 
 
 def profile_1d(m: MeasureSpec, t: float) -> float:
@@ -64,39 +71,122 @@ def compute_c() -> float:
     return (1.0 - math.exp(-2.0 * u)) / (2.0 * math.sqrt(u))
 
 
-def tensor_lower_bound(m: MeasureSpec, t: float,
-                       gap_options: GapOptions | None = None) -> float:
-    """Dimension-free lower bound sqrt(lambda) * c * t(1-t).
+def tensor_lower_bound(m: MeasureSpec, t, gap_options: GapOptions | None = None):
+    """Dimension-free lower bound sqrt(lambda) * c * t(1-t), at one level
+    (a float) or at an array of levels (an array).
 
     Valid for every product power of the measure because the spectral gap
     does not change under tensorization.
     """
     if not m.is_log_concave:
         raise NotLogConcave("lower bound requires a log-concave measure")
-    if not 0.0 <= t <= 1.0:
+    ts = np.asarray(t, dtype=float)
+    if not np.all((ts >= 0.0) & (ts <= 1.0)):
         raise DomainError("profile argument must lie in [0, 1]")
-    return math.sqrt(spectral_gap(m, gap_options)) * compute_c() * t * (1.0 - t)
+    low = math.sqrt(spectral_gap(m, gap_options)) * compute_c() * ts * (1.0 - ts)
+    return float(low) if low.ndim == 0 else low
 
 
-def clt_upper_bound(m: MeasureSpec, t: float, n_max: int,
-                    h: float = 0.01) -> list[float]:
+def _half_period(m: MeasureSpec, n_max: int) -> float:
+    """Half-period meant to hold S_{n_max} around its mean: the factor's
+    1e-12 truncation plus seven standard deviations of the sum."""
+    return m.truncation_interval(1e-12)[1] + 7.0 * math.sqrt(n_max * m.variance)
+
+
+def _spectrum(m: MeasureSpec, n_max: int):
+    """The frequencies w_k = k pi / R from k = 1 to the Nyquist frequency
+    pi / _CLT_H, their weights in the Gil-Pelaez sums, phi(w_k), the mean
+    that phi carries, and R.
+
+    R is _CLT_H / 2 times an FFT length that covers +-_half_period.  The
+    weight is 2, as w_k and -w_k both enter, except at the Nyquist
+    frequency of an even length, which is one frequency.  phi is the
+    measure's closed form where it has one, else the normalized real FFT
+    of its density sampled at the nodes of spacing _CLT_H that cover its
+    1e-12 truncation: the characteristic function of those samples as
+    point masses, whose mean is their weighted mean.
+    """
+    size = _fft_length(2 * math.ceil(_half_period(m, n_max) / _CLT_H) + 1)
+    half = 0.5 * size * _CLT_H
+    w = np.arange(1, size // 2 + 1) * (math.pi / half)
+    weight = np.full(len(w), 2.0)
+    if size % 2 == 0:
+        weight[-1] = 1.0
+    phi = m.characteristic(w)
+    if phi is not None:
+        return w, weight, phi, m.mean, half
+    d = tabulate(m, Grid.covering(m.truncation_interval(1e-12)[1], _CLT_H))
+    spec = np.fft.rfft(d.values, size)
+    phi = np.exp(1j * w * d.grid.a) * np.conj(spec[1:]) / spec[0].real
+    return w, weight, phi, float(d.grid.nodes() @ d.values / d.values.sum()), half
+
+
+def clt_upper_bound(m: MeasureSpec, t: float, n_max: int) -> list[float]:
     """Half-space upper bounds f_{Z_N}(y_N) for Z_N = sum X_i / sqrt(N).
 
     y_N is the t-quantile of Z_N; each entry bounds the N-fold product
     profile at t, and the sequence tends to phi(Phi^{-1}(t)) / sigma.
+
+    N = 1 is m.density(m.quantile(t)).  For N >= 2 the density and the CDF
+    of S_N = sum X_i are finite Gil-Pelaez sums over one frequency grid
+    w_k = k pi / R, k = 1 .. R / _CLT_H (up to the Nyquist frequency of the
+    step _CLT_H), with R a half-period that holds S_{n_max}:
+
+        f(x) = dw / 2 pi * (1 + 2 sum_k Re(exp(-i w_k x) phi(w_k)^N)),
+        F(x) = 1/2 + (x - N mu) dw / 2 pi
+               - dw / pi * sum_k Im(exp(-i w_k x) phi(w_k)^N) / w_k,
+
+    with dw = pi / R, mu the mean that phi carries, only the k where
+    |phi(w_k)|^N exceeds _PHI_FLOOR, and the Nyquist frequency of an even
+    FFT length counted once.  Both sums are exact for the 2R-periodic wrap
+    of S_N, so R is checked: the density of S_{n_max} half a period from
+    its mean must stay below _WRAP_TOL of the density at the mean, else
+    GridTooNarrow.  y_N is found by bracketed Newton steps from the
+    Gaussian guess sqrt(N) sigma Phi^{-1}(t) + N mu.
+
+    The logistic, Gaussian and two-sided exponential measures use their
+    closed-form phi (``MeasureSpec.characteristic``); every other kind
+    uses the FFT of its density sampled at the step _CLT_H, so its sums
+    are the discrete convolutions of those samples, read by trigonometric
+    interpolation.
     """
     if not 0.0 < t < 1.0:
         raise DomainError("quantile level must lie in (0, 1)")
     if n_max < 1 or n_max > 128:
         raise DomainError("n_max must lie in 1..128")
-    vals: list[float] = []
-    symmetric_mid = m.symmetric and t == 0.5
-    b = m.truncation_interval(1e-12)[1]
-    base = tabulate(m, Grid.covering(b, h)).normalized()
-    for n_copies, dens in enumerate(_partial_sums([base] * n_max), start=1):
-        root = math.sqrt(n_copies)
-        q = 0.0 if symmetric_mid else dens.quantile(t)
-        vals.append(float(root * dens(q)))
+    vals = [float(m.density(m.quantile(t)))]
+    if n_max == 1:
+        return vals
+    w, weight, phi, mu, half = _spectrum(m, n_max)
+    scale = 0.5 / half                      # dw / 2 pi
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(phi))
+
+    def inversion(n: int):
+        keep = n * log_abs > math.log(_PHI_FLOOR)
+        wk = w[keep]
+        pk = phi[keep] ** n
+        re, im = weight[keep], weight[keep] / wk
+
+        def at(x: float) -> tuple[float, float]:
+            """(F(x) - t, f(x)) for S_n."""
+            e = pk * np.exp(-1j * wk * x)
+            cdf = 0.5 + (x - n * mu - float(e.imag @ im)) * scale
+            return cdf - t, (1.0 + float(e.real @ re)) * scale
+        return at
+
+    widest = inversion(n_max)
+    if widest(n_max * mu + half)[1] > _WRAP_TOL * widest(n_max * mu)[1]:
+        raise GridTooNarrow(
+            f"half-period {half:g} does not hold the sum of {n_max} factors")
+    sigma = math.sqrt(m.variance)
+    z = _ndtri(t)
+    for n in range(2, n_max + 1):
+        at = inversion(n)
+        lo, hi = n * mu - half, n * mu + half
+        guess = min(max(math.sqrt(n) * sigma * z + n * mu, lo), hi)
+        y = _bracketed_newton(at, lo, hi, guess, _NEWTON_TOL)
+        vals.append(math.sqrt(n) * at(y)[1])
     return vals
 
 
@@ -128,10 +218,9 @@ def profile_envelope(m: MeasureSpec, t_grid,
     ts = np.asarray(t_grid, dtype=float)
     if np.any(ts < 0.0) or np.any(ts > 1.0):
         raise DomainError("levels must lie in [0, 1]")
-    lam = spectral_gap(m, gap_options)
     sigma = math.sqrt(m.variance)
     one = np.array([profile_1d(m, t) for t in ts])
-    low = math.sqrt(lam) * compute_c() * ts * (1.0 - ts)
+    low = tensor_lower_bound(m, ts, gap_options)
     gauss = np.array([0.0 if t in (0.0, 1.0) else
                       math.exp(-0.5 * _ndtri(t) ** 2) / math.sqrt(2 * math.pi)
                       / sigma for t in ts])

@@ -6,13 +6,14 @@ classification routines rely on.  Built-in kinds: logistic, Gaussian,
 two-sided exponential, power-law ``exp(-|x|^p)``, Gaussian-with-bump
 perturbation, and user-supplied potentials.
 
-Logistic, Gaussian and two-sided exponential measures have closed-form CDFs
-and quantiles.  The other kinds share one cached two-sided CDF table per
-measure (``MeasureSpec._cdf_table``): Gauss panels on the truncation
-interval with the mass below and above each node.  ``cdf`` adds one Gauss
-rule on the panel holding ``x``; ``quantile`` inverts the table on the side
-of the smaller tail by Newton steps with the density, kept inside the
-panel's bracket, so tail quantiles keep their relative accuracy.
+Logistic, Gaussian and two-sided exponential measures have closed-form CDFs,
+quantiles and characteristic functions.  The other kinds share one cached
+two-sided CDF table per measure (``MeasureSpec._cdf_table``): Gauss panels
+on the truncation interval with the mass below and above each node.
+``cdf`` adds one Gauss rule on the panel holding ``x``; ``quantile`` inverts
+the table on the side of the smaller tail by Newton steps with the density,
+kept inside the panel's bracket, so tail quantiles keep their relative
+accuracy.
 Quadratures split at the singular points: the kink at 0 of the exponential
 and power laws, and the breakpoints of a Gaussian's bump.
 """
@@ -380,6 +381,23 @@ class MeasureSpec:
 
         x = lo + (target - masses[j]) / (masses[j + 1] - masses[j]) * (hi - lo)
         return float(_bracketed_newton(residual, lo, hi, x, 4.0 * math.ulp(target)))
+
+    def characteristic(self, w) -> np.ndarray | None:
+        """Closed-form characteristic function E[exp(i w X)] at ``w``, or
+        None for the kinds that have none: pi w / sinh(pi w) (logistic),
+        exp(-sigma^2 w^2 / 2) (Gaussian), 1 / (1 + w^2) (two-sided
+        exponential); all three are real."""
+        w = np.asarray(w, dtype=float)
+        if self.kind == "logistic":
+            x = np.pi * np.abs(w)
+            with np.errstate(invalid="ignore"):
+                out = 2.0 * x * np.exp(-x) / -np.expm1(-2.0 * x)
+            return np.where(x == 0.0, 1.0, out)
+        if self.kind == "gaussian":
+            return np.exp(-0.5 * (self.sigma * w) ** 2)
+        if self.kind == "exponential":
+            return 1.0 / (1.0 + w * w)
+        return None
 
     # -- moments ------------------------------------------------------
 

@@ -1,12 +1,12 @@
 """Grids, adaptive quadrature, tabulated densities and discrete convolution.
 
-Densities of weighted sums of independent factors come from one pipeline:
-each factor is sampled on a symmetric grid of a common spacing
+Projection densities of weighted sums of independent factors come from
+one pipeline: each factor is sampled on a grid of a common spacing
 (``Grid.covering``), and ``_partial_sums`` folds the factors left to right,
 convolving by ``numpy.fft`` (``_convolve``), renormalizing, trimming the
-negligible tails and checking that no partial sum reaches its grid boundary.
-Projection densities and the CLT traces both take their densities from
-that one loop.
+negligible tails and checking that no partial sum reaches its grid
+boundary.  The CLT traces do not fold: they invert the characteristic
+function of the sum (``isoprofile.clt_upper_bound``).
 """
 
 from __future__ import annotations
@@ -208,19 +208,6 @@ class TabulatedDensity:
         m = self.mean()
         return float(np.trapezoid((x - m) ** 2 * self.values, dx=self.grid.h) / self.mass)
 
-    def cdf_values(self) -> np.ndarray:
-        """Cumulative trapezoid of the (normalized) values."""
-        v = self.values / self.mass
-        inc = 0.5 * (v[1:] + v[:-1]) * self.grid.h
-        return np.concatenate([[0.0], np.cumsum(inc)])
-
-    def quantile(self, t: float) -> float:
-        if not 0.0 < t < 1.0:
-            raise DomainError("quantile level must lie in (0,1)")
-        c = self.cdf_values()
-        x = self.grid.nodes()
-        return float(np.interp(t, c, x))
-
 
 def tabulate(m, g: Grid) -> TabulatedDensity:
     """Pointwise density samples of a measure on a grid."""
@@ -260,7 +247,7 @@ def _trim(d: TabulatedDensity) -> TabulatedDensity:
 
     The floor sits above the round-off an FFT convolution leaves in the
     tails (up to about 1e-16 of the peak); a floor at that level trims
-    nothing, and the grids of the CLT sums then grow linearly in N.
+    nothing, and the grids of long sums then grow linearly in their length.
     """
     v = d.values
     keep = np.nonzero(v > _TRIM_FLOOR * v.max())[0]

@@ -170,6 +170,7 @@ def test_usage_errors_exit_64(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["clt", "--grid-n", "8001"],
+    ["clt", "--h", "0.01"],
     ["profile", "--tail-mass", "1e-10"],
     ["envelope", "--solver-margin", "0.1"],
     ["tensor-oracle", "--tail-mass", "1e-10"],

@@ -222,6 +222,34 @@ def test_boundary_measure_bisector_logistic():
     assert abs(val - math.sqrt(2.0) / 6.0) < 1e-10
 
 
+def _random_gaussian_offsets():
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(6):
+        v = rng.standard_normal(3)
+        cases.append((tuple(v / np.linalg.norm(v)), float(rng.uniform(-2.0, 2.0))))
+    return cases
+
+
+@pytest.mark.parametrize("v, t", _random_gaussian_offsets())
+def test_boundary_measure_off_the_centre_is_a_node_value(v, t):
+    # a unit combination of standard Gaussians is standard Gaussian; the
+    # projection grid has t as a node, so no interpolation error enters
+    val = boundary_measure([GAUSSIAN] * 3, HalfSpace(v, t))
+    expect = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    assert abs(val / expect - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("v, t", [((0.002, -0.78, -0.62), 0.85),
+                                  ((0.0003, 0.6, -0.8), -1.37)])
+def test_boundary_measure_with_a_factor_narrower_than_the_spacing(v, t):
+    # the shifted grid is the widest factor's: a factor of width below the
+    # spacing stays a point mass at a node instead of vanishing between two
+    val = boundary_measure([GAUSSIAN] * 3, HalfSpace(v, t))
+    expect = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    assert abs(val / expect - 1.0) < 1e-6
+
+
 def test_boundary_measure_permutation_equivariant():
     # same two-component direction on different coordinate pairs
     a = boundary_measure([LOGISTIC] * 3, HalfSpace((1.0, -1.0, 0.0), 0.2))

@@ -8,9 +8,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prodiso.errors import DomainError, NotLogConcave
+from prodiso import isoprofile
+from prodiso.errors import DomainError, GridTooNarrow, NotLogConcave
 from prodiso.isoprofile import (
+    _spectrum,
     clt_upper_bound,
     compute_c,
     compute_c_maximizer,
@@ -101,6 +105,62 @@ def test_clt_trace_gaussian_constant():
     trace = clt_upper_bound(GAUSSIAN, 0.5, 4)
     expect = 1.0 / math.sqrt(2.0 * math.pi)
     assert max(abs(v - expect) for v in trace) < 1e-6
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(t=st.floats(0.01, 0.99), sigma=st.sampled_from([0.5, 1.0, 2.0]))
+def test_clt_trace_of_a_gaussian_is_its_profile(t, sigma):
+    # every sum of Gaussians is Gaussian: each entry is phi(Phi^-1(t)) / sigma
+    m = MeasureSpec.gaussian(sigma)
+    exact = profile_1d(m, t)
+    trace = clt_upper_bound(m, t, 16)
+    assert max(abs(v - exact) for v in trace) <= 1e-13 * exact
+
+
+def test_clt_trace_of_the_exponential_at_one_half():
+    trace = clt_upper_bound(MeasureSpec.two_sided_exponential(), 0.5, 64)
+    for n, v in enumerate(trace, start=1):
+        exact = math.sqrt(n) * math.exp(math.lgamma(n - 0.5) - math.lgamma(n)) \
+            / (2.0 * math.sqrt(math.pi))
+        assert abs(v / exact - 1.0) < 1e-7
+
+
+def test_clt_trace_of_the_logistic_at_one_half():
+    mpmath = pytest.importorskip("mpmath")
+    trace = clt_upper_bound(LOGISTIC, 0.5, 64)
+    with mpmath.workdps(30):
+        for n in (1, 2, 8, 64):
+            integral = mpmath.quad(
+                lambda w: (mpmath.pi * w / mpmath.sinh(mpmath.pi * w)) ** n,
+                [-mpmath.inf, 0, mpmath.inf])
+            exact = float(mpmath.sqrt(n) / (2 * mpmath.pi) * integral)
+            assert abs(trace[n - 1] / exact - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("m", [LOGISTIC, GAUSSIAN,
+                               MeasureSpec.two_sided_exponential(),
+                               MeasureSpec.power_law(1.5),
+                               MeasureSpec.power_law(4.0)])
+def test_clt_trace_of_a_symmetric_measure_is_symmetric(m):
+    for t in (0.2, 0.37):
+        low, high = clt_upper_bound(m, t, 12), clt_upper_bound(m, 1.0 - t, 12)
+        assert max(abs(a - b) for a, b in zip(low, high)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [LOGISTIC, GAUSSIAN, MeasureSpec.gaussian(2.0)])
+def test_sampled_spectrum_matches_the_closed_form(m, monkeypatch):
+    w, _, closed, _, half = _spectrum(m, 16)
+    monkeypatch.setattr(MeasureSpec, "characteristic", lambda self, w: None)
+    w_sampled, _, sampled, mu, half_sampled = _spectrum(m, 16)
+    assert np.array_equal(w, w_sampled) and half == half_sampled
+    assert np.max(np.abs(sampled - closed)) < 1e-11
+    assert abs(mu) < 1e-12
+
+
+def test_clt_half_period_too_short_is_refused(monkeypatch):
+    monkeypatch.setattr(isoprofile, "_half_period", lambda m, n_max: 5.0)
+    with pytest.raises(GridTooNarrow):
+        clt_upper_bound(LOGISTIC, 0.3, 16)
 
 
 def test_clt_validation():
