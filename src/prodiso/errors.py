@@ -18,7 +18,7 @@ class NoConvergence(ProdisoError):
 
 
 class GridTooNarrow(ProdisoError):
-    """Tabulated density carries non-negligible mass at the grid boundary."""
+    """The period of a sum's spectrum is too short to hold the sum."""
 
 
 class SignedWeight(ProdisoError):

@@ -22,7 +22,7 @@ from .errors import (
     HypothesisViolated,
 )
 from .measures import STRICTLY_LOG_CONCAVE, MeasureSpec
-from .numerics import Grid, TabulatedDensity, _partial_sums
+from .numerics import Grid, TabulatedDensity, _convolve, _reach, _require_reach
 from .spectral import (
     DEFAULT_SOLVER_MARGIN,
     GapOptions,
@@ -391,28 +391,23 @@ def projection_density(measures: list[MeasureSpec],
     """Density of sum_i v_i X_i on a grid of spacing ``_PROJECTION_H`` that
     has the offset t among its nodes.
 
-    Each factor is the density f_i(x / v_i) / |v_i| of v_i X_i, sampled on
-    the symmetric grid that covers v_i times the factor's 1e-12 truncation
-    and normalized.  The grid of the reference factor (largest |v_i|, so
-    at least 1/sqrt(dim), hence resolved at the spacing h) is shifted by
-    t - h round(t / h), so the nodes of every partial sum lie on the
-    lattice t + h Z.  The density is the last partial sum of
-    ``_partial_sums`` over these factors.
+    One inverse real FFT of the spectrum from ``numerics._convolve``,
+    times exp(-i w c), gives the density at the nodes of one period,
+    centred on the point c of t + hZ nearest the mean (so the grid is
+    symmetric at t = 0 for even factors).  A factor with a closed-form phi
+    keeps its law at any width; a sampled factor narrower than h is still
+    one point mass at 0 and loses its variance.
     """
     h = _PROJECTION_H
-    shift = hs.t - h * round(hs.t / h)
-
-    def factor(i: int) -> TabulatedDensity:
-        w = hs.v[i]
-        g = Grid.covering(abs(w) * measures[i].truncation_interval(1e-12)[1], h)
-        if i == hs.reference:
-            g = Grid(g.a + shift, g.b + shift, g.n)
-        return TabulatedDensity(
-            g, measures[i].density(g.nodes() / w) / abs(w)).normalized()
-
-    for out in _partial_sums(factor(i) for i in hs.nonzero):
-        pass
-    return out
+    factors = [(measures[i], hs.v[i]) for i in hs.nonzero]
+    w, weight, phi, mean, half = _convolve(factors, _reach(factors), h)
+    _require_reach(w, weight, phi, mean, half)
+    size, centre = round(2.0 * half / h), hs.t + h * round((mean - hs.t) / h)
+    spec = np.concatenate(([1.0], np.conj(phi * np.exp(-1j * w * centre))))
+    j = (size - 1) // 2
+    vals = np.roll(np.fft.irfft(spec, size) / h, j)[:2 * j + 1]
+    return TabulatedDensity(Grid(centre - j * h, centre + j * h, 2 * j + 1),
+                            np.clip(vals, 0.0, None))
 
 
 def boundary_measure(measures: list[MeasureSpec], hs: HalfSpace) -> float:
@@ -420,7 +415,8 @@ def boundary_measure(measures: list[MeasureSpec], hs: HalfSpace) -> float:
 
     Equals the density of the projection sum_i v_i X_i at the offset t:
     coordinate directions use the factor density directly, the others read
-    ``projection_density``, whose grid depends on t, at its node t.
+    ``projection_density`` at its node t, so the value is the Gil-Pelaez
+    sum of the product spectrum at t itself, with no interpolation.
     """
     if len(measures) != hs.dim:
         raise DimensionMismatch(

@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridTooNarrow, NotLogConcave
+from .errors import DomainError, NotLogConcave
 from .measures import MeasureSpec, _ndtri
-from .numerics import Grid, _bracketed_newton, _fft_length, tabulate
+from .numerics import _PHI_FLOOR, _bracketed_newton, _convolve, _reach, _require_reach
 from .spectral import GapOptions, spectral_gap
 
 _CLT_H = 0.01          # sampling step of the kinds without a closed-form phi
-_PHI_FLOOR = 1e-17     # Gil-Pelaez terms with |phi|^N below this are dropped
-_WRAP_TOL = 1e-10      # density half a period from the mean, relative to it
 _NEWTON_TOL = 1e-15    # |F(y) - t| at which the quantile search stops
 
 
@@ -87,40 +85,6 @@ def tensor_lower_bound(m: MeasureSpec, t, gap_options: GapOptions | None = None)
     return float(low) if low.ndim == 0 else low
 
 
-def _half_period(m: MeasureSpec, n_max: int) -> float:
-    """Half-period meant to hold S_{n_max} around its mean: the factor's
-    1e-12 truncation plus seven standard deviations of the sum."""
-    return m.truncation_interval(1e-12)[1] + 7.0 * math.sqrt(n_max * m.variance)
-
-
-def _spectrum(m: MeasureSpec, n_max: int):
-    """The frequencies w_k = k pi / R from k = 1 to the Nyquist frequency
-    pi / _CLT_H, their weights in the Gil-Pelaez sums, phi(w_k), the mean
-    that phi carries, and R.
-
-    R is _CLT_H / 2 times an FFT length that covers +-_half_period.  The
-    weight is 2, as w_k and -w_k both enter, except at the Nyquist
-    frequency of an even length, which is one frequency.  phi is the
-    measure's closed form where it has one, else the normalized real FFT
-    of its density sampled at the nodes of spacing _CLT_H that cover its
-    1e-12 truncation: the characteristic function of those samples as
-    point masses, whose mean is their weighted mean.
-    """
-    size = _fft_length(2 * math.ceil(_half_period(m, n_max) / _CLT_H) + 1)
-    half = 0.5 * size * _CLT_H
-    w = np.arange(1, size // 2 + 1) * (math.pi / half)
-    weight = np.full(len(w), 2.0)
-    if size % 2 == 0:
-        weight[-1] = 1.0
-    phi = m.characteristic(w)
-    if phi is not None:
-        return w, weight, phi, m.mean, half
-    d = tabulate(m, Grid.covering(m.truncation_interval(1e-12)[1], _CLT_H))
-    spec = np.fft.rfft(d.values, size)
-    phi = np.exp(1j * w * d.grid.a) * np.conj(spec[1:]) / spec[0].real
-    return w, weight, phi, float(d.grid.nodes() @ d.values / d.values.sum()), half
-
-
 def clt_upper_bound(m: MeasureSpec, t: float, n_max: int) -> list[float]:
     """Half-space upper bounds f_{Z_N}(y_N) for Z_N = sum X_i / sqrt(N).
 
@@ -128,9 +92,10 @@ def clt_upper_bound(m: MeasureSpec, t: float, n_max: int) -> list[float]:
     profile at t, and the sequence tends to phi(Phi^{-1}(t)) / sigma.
 
     N = 1 is m.density(m.quantile(t)).  For N >= 2 the density and the CDF
-    of S_N = sum X_i are finite Gil-Pelaez sums over one frequency grid
-    w_k = k pi / R, k = 1 .. R / _CLT_H (up to the Nyquist frequency of the
-    step _CLT_H), with R a half-period that holds S_{n_max}:
+    of S_N = sum X_i are finite Gil-Pelaez sums over the spectrum phi(w_k)
+    of one factor from ``numerics._convolve`` at the step _CLT_H, with
+    w_k = k pi / R up to the Nyquist frequency and R the half-period that
+    ``numerics._reach`` gives the sum of n_max factors:
 
         f(x) = dw / 2 pi * (1 + 2 sum_k Re(exp(-i w_k x) phi(w_k)^N)),
         F(x) = 1/2 + (x - N mu) dw / 2 pi
@@ -139,16 +104,12 @@ def clt_upper_bound(m: MeasureSpec, t: float, n_max: int) -> list[float]:
     with dw = pi / R, mu the mean that phi carries, only the k where
     |phi(w_k)|^N exceeds _PHI_FLOOR, and the Nyquist frequency of an even
     FFT length counted once.  Both sums are exact for the 2R-periodic wrap
-    of S_N, so R is checked: the density of S_{n_max} half a period from
-    its mean must stay below _WRAP_TOL of the density at the mean, else
-    GridTooNarrow.  y_N is found by bracketed Newton steps from the
-    Gaussian guess sqrt(N) sigma Phi^{-1}(t) + N mu.
-
-    The logistic, Gaussian and two-sided exponential measures use their
-    closed-form phi (``MeasureSpec.characteristic``); every other kind
-    uses the FFT of its density sampled at the step _CLT_H, so its sums
-    are the discrete convolutions of those samples, read by trigonometric
-    interpolation.
+    of S_N, which ``numerics._require_reach`` checks for S_{n_max}.  y_N is
+    found by bracketed Newton steps from the Gaussian guess
+    sqrt(N) sigma Phi^{-1}(t) + N mu.  A kind with a closed-form phi
+    (logistic, Gaussian, two-sided exponential) is exact up to these
+    sums; for any other kind the sums are the discrete convolutions of its
+    samples at the step _CLT_H, read by trigonometric interpolation.
     """
     if not 0.0 < t < 1.0:
         raise DomainError("quantile level must lie in (0, 1)")
@@ -157,16 +118,19 @@ def clt_upper_bound(m: MeasureSpec, t: float, n_max: int) -> list[float]:
     vals = [float(m.density(m.quantile(t)))]
     if n_max == 1:
         return vals
-    w, weight, phi, mu, half = _spectrum(m, n_max)
+    w, weight, phi, mu, half = _convolve([(m, 1.0)], _reach([(m, 1.0)] * n_max),
+                                         _CLT_H)
     scale = 0.5 / half                      # dw / 2 pi
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(phi))
+    log_abs = np.log(np.abs(phi))
+
+    def terms(n: int):
+        """w_k, their weights and phi(w_k)^n where |phi(w_k)|^n > _PHI_FLOOR."""
+        keep = n * log_abs > math.log(_PHI_FLOOR)
+        return w[keep], weight[keep], phi[keep] ** n
 
     def inversion(n: int):
-        keep = n * log_abs > math.log(_PHI_FLOOR)
-        wk = w[keep]
-        pk = phi[keep] ** n
-        re, im = weight[keep], weight[keep] / wk
+        wk, re, pk = terms(n)
+        im = re / wk
 
         def at(x: float) -> tuple[float, float]:
             """(F(x) - t, f(x)) for S_n."""
@@ -175,10 +139,7 @@ def clt_upper_bound(m: MeasureSpec, t: float, n_max: int) -> list[float]:
             return cdf - t, (1.0 + float(e.real @ re)) * scale
         return at
 
-    widest = inversion(n_max)
-    if widest(n_max * mu + half)[1] > _WRAP_TOL * widest(n_max * mu)[1]:
-        raise GridTooNarrow(
-            f"half-period {half:g} does not hold the sum of {n_max} factors")
+    _require_reach(*terms(n_max), n_max * mu, half)
     sigma = math.sqrt(m.variance)
     z = _ndtri(t)
     for n in range(2, n_max + 1):

@@ -1,12 +1,12 @@
-"""Grids, adaptive quadrature, tabulated densities and discrete convolution.
+"""Grids, adaptive quadrature, tabulated densities and the spectra of sums.
 
-Projection densities of weighted sums of independent factors come from
-one pipeline: each factor is sampled on a grid of a common spacing
-(``Grid.covering``), and ``_partial_sums`` folds the factors left to right,
-convolving by ``numpy.fft`` (``_convolve``), renormalizing, trimming the
-negligible tails and checking that no partial sum reaches its grid
-boundary.  The CLT traces do not fold: they invert the characteristic
-function of the sum (``isoprofile.clt_upper_bound``).
+Densities of weighted sums of independent factors come from one pipeline.
+``_convolve`` multiplies the factors' characteristic functions on one
+frequency grid: a closed form where the kind has one, else the FFT of the
+density sampled at a common spacing.  ``_reach`` sizes the period of that
+grid and ``_require_reach`` checks that the period holds the sum.  The
+CLT traces (``isoprofile.clt_upper_bound``) and the projection densities
+(``halfspace.projection_density``) invert that spectrum.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ _WH = np.array([
     0.016017228257774067])
 _MAX_DEPTH = 50     # bisections of one panel before integrate gives up
 _NEWTON_STEPS = 60  # evaluations of one bracketed Newton solve
-_TRIM_FLOOR = 1e-15  # tail values below this fraction of the peak are cut
+_WRAP_TOL = 1e-10    # density half a period from the mean, relative to it
+_PHI_FLOOR = 1e-17   # |phi| below this is negligible in the inversion sums
 
 
 def _panel(f, a: float, b: float) -> tuple[float, float]:
@@ -193,9 +194,6 @@ class TabulatedDensity:
     def mass(self) -> float:
         return float(np.trapezoid(self.values, dx=self.grid.h))
 
-    def normalized(self) -> "TabulatedDensity":
-        return TabulatedDensity(self.grid, self.values / self.mass)
-
     def __call__(self, x) -> np.ndarray:
         return np.interp(x, self.grid.nodes(), self.values, left=0.0, right=0.0)
 
@@ -229,54 +227,55 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _convolve(d1: TabulatedDensity, d2: TabulatedDensity) -> TabulatedDensity:
-    """Density of X1 + X2 by zero-padded real FFTs; both grids share a spacing."""
-    h = d1.grid.h
-    if abs(d2.grid.h - h) > 1e-12 * h:
-        raise DomainError("convolution requires matching grid spacing")
-    n = d1.grid.n + d2.grid.n - 1          # odd, as both counts are
-    size = _fft_length(n)
-    spectrum = np.fft.rfft(d1.values, size) * np.fft.rfft(d2.values, size)
-    vals = np.fft.irfft(spectrum, size)[:n] * h
-    a = d1.grid.a + d2.grid.a
-    return TabulatedDensity(Grid(a, a + h * (n - 1), n), np.clip(vals, 0.0, None))
+def _reach(factors) -> float:
+    """Half-width meant to hold the sum of v X over the (measure, v) factors
+    around its mean: the widest factor's 1e-12 truncation plus seven
+    standard deviations of the sum."""
+    return max(abs(v) * m.truncation_interval(1e-12)[1] for m, v in factors) \
+        + 7.0 * math.sqrt(sum(v * v * m.variance for m, v in factors))
 
 
-def _trim(d: TabulatedDensity) -> TabulatedDensity:
-    """Drop symmetric tails below _TRIM_FLOOR * max to keep grids desk-sized.
+def _convolve(factors, reach: float, h: float):
+    """Characteristic function phi of the sum of v X over independent
+    (measure, v) factors, at w_k = k pi / R for k = 1 up to the Nyquist
+    frequency pi / h, cut after the last w_k where |phi| > _PHI_FLOOR.
 
-    The floor sits above the round-off an FFT convolution leaves in the
-    tails (up to about 1e-16 of the peak); a floor at that level trims
-    nothing, and the grids of long sums then grow linearly in their length.
+    Returns w, the weights of the w_k in the Gil-Pelaez sums (2, or 1 at
+    the Nyquist frequency of an even FFT length), phi(w_k), the mean that
+    phi carries, and R: h / 2 times an FFT length that covers +-reach.  A
+    factor's phi is its closed form at v w where the kind has one, else
+    the normalized FFT of f(x / v) sampled on the symmetric grid of
+    spacing h that covers |v| times its 1e-12 truncation: the samples as
+    point masses.
     """
-    v = d.values
-    keep = np.nonzero(v > _TRIM_FLOOR * v.max())[0]
-    if len(keep) == 0:
-        return d
-    lo, hi = keep[0], keep[-1]
-    # symmetric trim so 0 stays a node on symmetric grids
-    cut = min(lo, d.grid.n - 1 - hi)
-    if cut <= 1:
-        return d
-    vals = v[cut:d.grid.n - cut]
-    x = d.grid.nodes()
-    g = Grid(x[cut], x[d.grid.n - 1 - cut], len(vals))
-    return TabulatedDensity(g, vals)
+    size = _fft_length(2 * math.ceil(reach / h) + 1)
+    half = 0.5 * size * h
+    w = np.arange(1, size // 2 + 1) * (math.pi / half)
+    weight = np.full(len(w), 2.0)
+    if size % 2 == 0:
+        weight[-1] = 1.0
+    phi, mean = 1.0, 0.0
+    for m, v in factors:
+        closed = m.characteristic(v * w)
+        if closed is not None:
+            phi, mean = phi * closed, mean + v * m.mean
+            continue
+        x = Grid.covering(abs(v) * m.truncation_interval(1e-12)[1], h).nodes()
+        vals = m.density(x / v)
+        spec = np.fft.rfft(vals, size)
+        phi = phi * np.exp(1j * w * x[0]) * np.conj(spec[1:]) / spec[0].real
+        mean += float(x @ vals / vals.sum())
+    # R holds 7 standard deviations, so |phi(w_1)| >= 1 - (pi / 7)^2 / 2
+    n = np.flatnonzero(np.abs(phi) > _PHI_FLOOR)[-1] + 1
+    return w[:n], weight[:n], phi[:n], mean, half
 
 
-def _partial_sums(factors):
-    """Densities of X_1, X_1 + X_2, ... for independent factor densities.
-
-    The factors share one grid spacing.  Each partial sum is the previous
-    one convolved with the next factor, renormalized against mass drift and
-    trimmed; a partial sum whose end values exceed 1e-10 * max(peak, 1)
-    reaches its grid boundary and raises GridTooNarrow.
-    """
-    out: TabulatedDensity | None = None
-    for factor in factors:
-        out = factor if out is None else _convolve(out, factor).normalized()
-        out = _trim(out)
-        peak = out.values.max()
-        if max(out.values[0], out.values[-1]) > 1e-10 * max(peak, 1.0):
-            raise GridTooNarrow("convolution support reaches the grid boundary")
-        yield out
+def _require_reach(w, weight, phi, mean: float, half: float) -> None:
+    """Raise GridTooNarrow unless the density of the sum whose spectrum is
+    ``phi`` (from ``_convolve``), half a period from its mean, stays below
+    _WRAP_TOL of its density at the mean: the inversion sums are exact
+    for the 2R-periodic wrap of the sum, so R must hold it."""
+    def density(x: float) -> float:
+        return 1.0 + float((phi * np.exp(-1j * w * x)).real @ weight)
+    if density(mean + half) > _WRAP_TOL * density(mean):
+        raise GridTooNarrow(f"half-period {half:g} does not hold the sum")

@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prodiso.errors import DomainError, HypothesisViolated, NonDifferentiablePoint
+from prodiso import halfspace
+from prodiso.errors import (
+    DomainError,
+    GridTooNarrow,
+    HypothesisViolated,
+    NonDifferentiablePoint,
+)
 from prodiso.halfspace import (
     COORDINATE,
     GAUSSIAN_ALL,
@@ -26,7 +34,7 @@ from prodiso.halfspace import (
     projection_density,
 )
 from prodiso.measures import BumpFunction, MeasureSpec
-from prodiso.numerics import Grid, TabulatedDensity, _partial_sums
+from prodiso.numerics import Grid
 
 LOGISTIC = MeasureSpec.logistic()
 GAUSSIAN = MeasureSpec.gaussian(1.0)
@@ -190,23 +198,33 @@ def test_projection_density_gaussian_stability():
     assert np.max(np.abs(proj.values - exact)) < 1e-10
 
 
-def test_projection_density_matches_self_convolve_scaled():
-    # the scaled self-convolution of one law is the fold of its directly
-    # sampled factors: projection_density gives the same values, and the
-    # sum keeps the law's variance for a unit direction
-    hs = HalfSpace((0.6, -0.48, 0.64), 0.0)
-    b = LOGISTIC.truncation_interval(1e-12)[1]
-    factors = []
+@pytest.mark.parametrize("v", [(0.6, -0.8), (0.6, -0.48, 0.64)])
+def test_sampled_projection_is_the_discrete_convolution_of_its_factors(v):
+    # a kind with no closed-form phi is sampled at the spacing h: at t = 0
+    # the projection's nodes are those of the factors' sum, its values are
+    # the discrete convolution of the unit-sum factor samples over h, zero
+    # beyond their span, and a unit direction keeps the factor's variance
+    hs = HalfSpace(v, 0.0)
+    h = 0.005
+    b = POWER4.truncation_interval(1e-12)[1]
+    conv = np.ones(1)
     for w in hs.v:
-        g = Grid.covering(abs(w) * b, 0.005)
-        factors.append(TabulatedDensity(
-            g, LOGISTIC.density(g.nodes() / w) / abs(w)).normalized())
-    for out in _partial_sums(factors):
-        pass
-    proj = projection_density([LOGISTIC] * 3, hs)
-    assert out.grid == proj.grid
-    assert np.max(np.abs(out.values - proj.values)) <= 1e-15
-    assert abs(proj.variance() - LOGISTIC.variance) < 1e-8
+        x = Grid.covering(abs(w) * b, h).nodes()
+        p = POWER4.density(x / w)
+        conv = np.convolve(conv, p / p.sum())
+    proj = projection_density([POWER4] * len(v), hs)
+    assert proj.grid.symmetric and abs(proj.grid.h - h) < 1e-15
+    mid, half = proj.grid.n // 2, len(conv) // 2
+    padded = np.zeros(proj.grid.n)
+    padded[mid - half:mid + half + 1] = conv / h
+    assert np.max(np.abs(proj.values - padded)) <= 1e-13 * padded.max()
+    assert abs(proj.variance() - POWER4.variance) < 1e-8
+
+
+def test_projection_reach_too_short_is_refused(monkeypatch):
+    monkeypatch.setattr(halfspace, "_reach", lambda factors: 1.0)
+    with pytest.raises(GridTooNarrow):
+        projection_density([GAUSSIAN] * 3, HalfSpace((0.6, -0.48, 0.64), 0.3))
 
 
 def test_boundary_measure_coordinate_exact():
@@ -241,20 +259,81 @@ def test_boundary_measure_off_the_centre_is_a_node_value(v, t):
 
 
 @pytest.mark.parametrize("v, t", [((0.002, -0.78, -0.62), 0.85),
-                                  ((0.0003, 0.6, -0.8), -1.37)])
+                                  ((0.0003, 0.6, -0.8), -1.37),
+                                  ((0.0311, -0.9995, -0.0006), -0.652),
+                                  ((0.0005, -0.986, -0.164), 0.41)])
 def test_boundary_measure_with_a_factor_narrower_than_the_spacing(v, t):
-    # the shifted grid is the widest factor's: a factor of width below the
-    # spacing stays a point mass at a node instead of vanishing between two
+    # a Gaussian factor narrower than the spacing enters by its closed-form
+    # phi, so its variance is kept, not lost as a point mass at 0
     val = boundary_measure([GAUSSIAN] * 3, HalfSpace(v, t))
     expect = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    assert abs(val / expect - 1.0) < 1e-6
+    assert abs(val / expect - 1.0) < 1e-12
 
 
-def test_boundary_measure_permutation_equivariant():
-    # same two-component direction on different coordinate pairs
-    a = boundary_measure([LOGISTIC] * 3, HalfSpace((1.0, -1.0, 0.0), 0.2))
-    b = boundary_measure([LOGISTIC] * 3, HalfSpace((0.0, 1.0, -1.0), 0.2))
-    assert abs(a - b) < 1e-10
+def _two_exponential_density(a: float, b: float, t: float) -> float:
+    """Density of a X + b Y at t for independent two-sided exponentials,
+    a, b > 0."""
+    t = abs(t)
+    if a == b:
+        return (1.0 + t / a) * math.exp(-t / a) / (4.0 * a)
+    return (a * math.exp(-t / a) - b * math.exp(-t / b)) / (2.0 * (a * a - b * b))
+
+
+@pytest.mark.parametrize("v, t", [((math.cos(0.1), -math.sin(0.1)), 0.37),
+                                  ((math.cos(0.1), math.sin(0.1)), -1.1),
+                                  ((0.6, 0.8), 2.3),
+                                  ((0.6, -0.8), 0.37),
+                                  ((1.0, 1.0), 0.0),
+                                  ((1.0, -1.0), -1.1),
+                                  ((math.cos(1.52), math.sin(1.52)), 0.37),
+                                  ((math.cos(1.52), -math.sin(1.52)), 2.3)])
+def test_boundary_measure_of_two_exponentials(v, t):
+    e = MeasureSpec.two_sided_exponential()
+    hs = HalfSpace(v, t)
+    expect = _two_exponential_density(abs(hs.v[0]), abs(hs.v[1]), t)
+    assert abs(boundary_measure([e, e], hs) / expect - 1.0) < 1e-7
+
+
+@pytest.mark.parametrize("v, t", [((0.6, -0.48, 0.64), 0.83),
+                                  ((-0.3015, -0.7859, -0.5399), -0.9557),
+                                  ((0.05, 0.9, -0.4), 1.9)])
+def test_boundary_measure_of_three_logistics(v, t):
+    mpmath = pytest.importorskip("mpmath")
+    hs = HalfSpace(v, t)
+    with mpmath.workdps(30):
+        def integrand(w):
+            out = mpmath.cos(w * t)
+            for c in hs.v:
+                x = mpmath.pi * c * w
+                out *= x / mpmath.sinh(x) if x else 1
+            return out
+        expect = float(mpmath.quad(integrand, [0, 1, 4, mpmath.inf]) / mpmath.pi)
+    assert abs(boundary_measure([LOGISTIC] * 3, hs) / expect - 1.0) < 1e-12
+
+
+_MIXED = [LOGISTIC, MeasureSpec.gaussian(0.5), MeasureSpec.two_sided_exponential(),
+          POWER4, MeasureSpec.power_law(1.5)]
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(data=st.data())
+def test_boundary_measure_permutation_equivariant(data):
+    # the perimeter of {<x, v> < t} of a product measure does not change
+    # when the coordinates, with their factors, are permuted, nor when
+    # (v, t) becomes (-v, -t) for even factors
+    dim = data.draw(st.integers(2, 4))
+    ms = data.draw(st.lists(st.sampled_from(_MIXED), min_size=dim, max_size=dim))
+    component = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(1e-3, 1.0))
+    v = [s * c for s, c in data.draw(st.lists(component, min_size=dim,
+                                              max_size=dim))]
+    t = data.draw(st.floats(-2.0, 2.0))
+    perm = data.draw(st.permutations(range(dim)))
+    val = boundary_measure(ms, HalfSpace(tuple(v), t))
+    permuted = boundary_measure([ms[i] for i in perm],
+                                HalfSpace(tuple(v[i] for i in perm), t))
+    flipped = boundary_measure(ms, HalfSpace(tuple(-c for c in v), -t))
+    assert abs(permuted - val) <= 1e-12 * val
+    assert abs(flipped - val) <= 1e-12 * val
 
 
 @pytest.mark.parametrize("m", [MeasureSpec.two_sided_exponential(),

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from prodiso import isoprofile
 from prodiso.errors import DomainError, GridTooNarrow, NotLogConcave
 from prodiso.isoprofile import (
-    _spectrum,
     clt_upper_bound,
     compute_c,
     compute_c_maximizer,
@@ -23,6 +22,7 @@ from prodiso.isoprofile import (
     tensor_lower_bound,
 )
 from prodiso.measures import BumpFunction, MeasureSpec
+from prodiso.numerics import _convolve, _reach
 
 LOGISTIC = MeasureSpec.logistic()
 GAUSSIAN = MeasureSpec.gaussian(1.0)
@@ -149,16 +149,24 @@ def test_clt_trace_of_a_symmetric_measure_is_symmetric(m):
 
 @pytest.mark.parametrize("m", [LOGISTIC, GAUSSIAN, MeasureSpec.gaussian(2.0)])
 def test_sampled_spectrum_matches_the_closed_form(m, monkeypatch):
-    w, _, closed, _, half = _spectrum(m, 16)
+    # phi of v X from the FFT of its samples, at the CLT and the projection
+    # spacings, against the closed form at v w; each spectrum ends where
+    # |phi| falls below the floor, so the shorter one is read as padded
+    closed = {(v, h): _convolve([(m, v)], _reach([(m, v)]), h)
+              for v in (1.0, 0.6, -0.48, 0.15) for h in (0.01, 0.005)}
     monkeypatch.setattr(MeasureSpec, "characteristic", lambda self, w: None)
-    w_sampled, _, sampled, mu, half_sampled = _spectrum(m, 16)
-    assert np.array_equal(w, w_sampled) and half == half_sampled
-    assert np.max(np.abs(sampled - closed)) < 1e-11
-    assert abs(mu) < 1e-12
+    for (v, h), (w, weight, phi, _, half) in closed.items():
+        w_s, weight_s, sampled, mu, half_s = _convolve([(m, v)], _reach([(m, v)]), h)
+        n, k = sorted((len(w), len(w_s)))
+        assert np.array_equal(w[:n], w_s[:n]) and half == half_s
+        assert np.array_equal(weight[:n], weight_s[:n])
+        diff = np.pad(sampled, (0, k - len(w_s))) - np.pad(phi, (0, k - len(w)))
+        assert np.max(np.abs(diff)) < 1e-11
+        assert abs(mu) < 1e-12
 
 
 def test_clt_half_period_too_short_is_refused(monkeypatch):
-    monkeypatch.setattr(isoprofile, "_half_period", lambda m, n_max: 5.0)
+    monkeypatch.setattr(isoprofile, "_reach", lambda factors: 5.0)
     with pytest.raises(GridTooNarrow):
         clt_upper_bound(LOGISTIC, 0.3, 16)
 

@@ -1,4 +1,4 @@
-"""Quadrature, grids, tabulated densities and discrete convolution."""
+"""Quadrature, grids, tabulated densities and FFT lengths."""
 
 import math
 
@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodiso.errors import DomainError, GridTooNarrow
+from prodiso.errors import DomainError
 from prodiso.measures import MeasureSpec
 from prodiso.numerics import (
     Grid,
     TabulatedDensity,
-    _convolve,
     _fft_length,
-    _partial_sums,
-    _trim,
     integrate,
     tabulate,
 )
@@ -86,32 +83,6 @@ def test_tabulated_density_rejects_negative():
         TabulatedDensity(g, np.array([1.0, -0.1, 1.0]))
 
 
-def test_convolution_adds_mean_and_variance():
-    m = MeasureSpec.logistic()
-    g = Grid.symmetric_grid(40.0, 8001)
-    d = tabulate(m, g).normalized()
-    c = _convolve(d, d).normalized()
-    assert abs(c.mean()) < 1e-10
-    assert abs(c.variance() - 2.0 * d.variance()) < 1e-6
-    # the FFT product agrees with a direct discrete convolution
-    direct = np.convolve(d.values, d.values) * g.h
-    assert np.max(np.abs(_convolve(d, d).values - direct)) < 1e-12
-
-
-def test_self_convolve_scaled_clt_normalization():
-    # n factors of N(0, 1/n), each sampled directly, fold to N(0, 1):
-    # the Gaussian is stable under the CLT normalization
-    n = 4
-    g = Grid.symmetric_grid(12.0, 2401)
-    d = tabulate(MeasureSpec.gaussian(1.0 / math.sqrt(n)), g).normalized()
-    for out in _partial_sums([d] * n):
-        pass
-    assert abs(out.variance() - 1.0) < 1e-6
-    x = np.linspace(-3, 3, 31)
-    exact = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    assert np.max(np.abs(out(x) - exact)) < 1e-6
-
-
 _SMOOTH = sorted(2 ** a * 3 ** b * 5 ** c for a in range(25)
                  for b in range(16) for c in range(11)
                  if 2 ** a * 3 ** b * 5 ** c <= 2 ** 24)
@@ -124,29 +95,3 @@ def test_fft_length_is_the_next_5_smooth(n):
     # the smallest 5-smooth length >= n, from a table of all of them
     assert size == next(k for k in _SMOOTH if k >= n)
     assert size <= 1 << (n - 1).bit_length()
-
-
-def test_partial_sums_stay_trimmed():
-    # FFT round-off in the tails must not stop the trim: the grid of a sum
-    # of 16 logistics stays a few factor widths wide, not 16
-    m = MeasureSpec.logistic()
-    d = tabulate(m, Grid.covering(m.truncation_interval(1e-12)[1], 0.01))
-    for out in _partial_sums([d.normalized()] * 16):
-        pass
-    assert out.grid.n < 3 * d.grid.n
-    assert abs(out.variance() - 16 * m.variance) < 1e-6 * 16 * m.variance
-
-
-def test_partial_sums_reject_a_narrow_grid():
-    narrow = tabulate(MeasureSpec.gaussian(1.0), Grid.symmetric_grid(1.0, 201))
-    with pytest.raises(GridTooNarrow):
-        list(_partial_sums([narrow.normalized()] * 3))
-
-
-def test_trim_keeps_center_and_mass():
-    m = MeasureSpec.gaussian(1.0)
-    d = tabulate(m, Grid.symmetric_grid(30.0, 6001))
-    t = _trim(d)
-    assert t.grid.n < d.grid.n
-    assert t.grid.symmetric
-    assert abs(t.mass - d.mass) < 1e-12
