@@ -22,7 +22,7 @@ from .errors import (
     HypothesisViolated,
 )
 from .measures import STRICTLY_LOG_CONCAVE, MeasureSpec
-from .numerics import Grid, TabulatedDensity, _convolve, _reach, _require_reach
+from .numerics import Grid, TabulatedDensity, _convolve
 from .spectral import (
     DEFAULT_SOLVER_MARGIN,
     GapOptions,
@@ -399,9 +399,8 @@ def projection_density(measures: list[MeasureSpec],
     one point mass at 0 and loses its variance.
     """
     h = _PROJECTION_H
-    factors = [(measures[i], hs.v[i]) for i in hs.nonzero]
-    w, weight, phi, mean, half = _convolve(factors, _reach(factors), h)
-    _require_reach(w, weight, phi, mean, half)
+    w, _, phi, mean, half = _convolve(
+        [(measures[i], hs.v[i]) for i in hs.nonzero], h)
     size, centre = round(2.0 * half / h), hs.t + h * round((mean - hs.t) / h)
     spec = np.concatenate(([1.0], np.conj(phi * np.exp(-1j * w * centre))))
     j = (size - 1) // 2
@@ -414,9 +413,8 @@ def boundary_measure(measures: list[MeasureSpec], hs: HalfSpace) -> float:
     """Weighted perimeter of the half-space boundary.
 
     Equals the density of the projection sum_i v_i X_i at the offset t:
-    coordinate directions use the factor density directly, the others read
-    ``projection_density`` at its node t, so the value is the Gil-Pelaez
-    sum of the product spectrum at t itself, with no interpolation.
+    coordinate directions use the factor density directly, the others
+    invert the product spectrum at t itself (``numerics.Spectrum.inversion``).
     """
     if len(measures) != hs.dim:
         raise DimensionMismatch(
@@ -425,4 +423,5 @@ def boundary_measure(measures: list[MeasureSpec], hs: HalfSpace) -> float:
     if len(active) == 1:
         i = active[0]
         return float(measures[i].density(hs.t / hs.v[i]) / abs(hs.v[i]))
-    return float(projection_density(measures, hs)(hs.t))
+    spectrum = _convolve([(measures[i], hs.v[i]) for i in active], _PROJECTION_H)
+    return max(0.0, spectrum.inversion()(hs.t)[1])

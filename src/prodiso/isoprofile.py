@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NotLogConcave
 from .measures import MeasureSpec, _ndtri
-from .numerics import _PHI_FLOOR, _bracketed_newton, _convolve, _reach, _require_reach
+from .numerics import _bracketed_newton, _convolve
 from .spectral import GapOptions, spectral_gap
 
 _CLT_H = 0.01          # sampling step of the kinds without a closed-form phi
@@ -92,24 +92,15 @@ def clt_upper_bound(m: MeasureSpec, t: float, n_max: int) -> list[float]:
     profile at t, and the sequence tends to phi(Phi^{-1}(t)) / sigma.
 
     N = 1 is m.density(m.quantile(t)).  For N >= 2 the density and the CDF
-    of S_N = sum X_i are finite Gil-Pelaez sums over the spectrum phi(w_k)
-    of one factor from ``numerics._convolve`` at the step _CLT_H, with
-    w_k = k pi / R up to the Nyquist frequency and R the half-period that
-    ``numerics._reach`` gives the sum of n_max factors:
-
-        f(x) = dw / 2 pi * (1 + 2 sum_k Re(exp(-i w_k x) phi(w_k)^N)),
-        F(x) = 1/2 + (x - N mu) dw / 2 pi
-               - dw / pi * sum_k Im(exp(-i w_k x) phi(w_k)^N) / w_k,
-
-    with dw = pi / R, mu the mean that phi carries, only the k where
-    |phi(w_k)|^N exceeds _PHI_FLOOR, and the Nyquist frequency of an even
-    FFT length counted once.  Both sums are exact for the 2R-periodic wrap
-    of S_N, which ``numerics._require_reach`` checks for S_{n_max}.  y_N is
-    found by bracketed Newton steps from the Gaussian guess
-    sqrt(N) sigma Phi^{-1}(t) + N mu.  A kind with a closed-form phi
-    (logistic, Gaussian, two-sided exponential) is exact up to these
-    sums; for any other kind the sums are the discrete convolutions of its
-    samples at the step _CLT_H, read by trigonometric interpolation.
+    of S_N = sum X_i are ``numerics.Spectrum.inversion(N)`` of one factor's
+    spectrum from ``numerics._convolve`` at the step _CLT_H, whose period
+    is sized and checked for S_{n_max}.  y_N is found by bracketed Newton
+    steps from the Gaussian guess sqrt(N) sigma Phi^{-1}(t) + N mu, with mu
+    the mean that the spectrum carries.  A kind with a closed-form phi
+    (logistic, Gaussian, two-sided exponential) is exact up to the
+    inversion sums; for any other kind the sums are the discrete
+    convolutions of its samples at the step _CLT_H, read by trigonometric
+    interpolation.
     """
     if not 0.0 < t < 1.0:
         raise DomainError("quantile level must lie in (0, 1)")
@@ -118,36 +109,21 @@ def clt_upper_bound(m: MeasureSpec, t: float, n_max: int) -> list[float]:
     vals = [float(m.density(m.quantile(t)))]
     if n_max == 1:
         return vals
-    w, weight, phi, mu, half = _convolve([(m, 1.0)], _reach([(m, 1.0)] * n_max),
-                                         _CLT_H)
-    scale = 0.5 / half                      # dw / 2 pi
-    log_abs = np.log(np.abs(phi))
-
-    def terms(n: int):
-        """w_k, their weights and phi(w_k)^n where |phi(w_k)|^n > _PHI_FLOOR."""
-        keep = n * log_abs > math.log(_PHI_FLOOR)
-        return w[keep], weight[keep], phi[keep] ** n
-
-    def inversion(n: int):
-        wk, re, pk = terms(n)
-        im = re / wk
-
-        def at(x: float) -> tuple[float, float]:
-            """(F(x) - t, f(x)) for S_n."""
-            e = pk * np.exp(-1j * wk * x)
-            cdf = 0.5 + (x - n * mu - float(e.imag @ im)) * scale
-            return cdf - t, (1.0 + float(e.real @ re)) * scale
-        return at
-
-    _require_reach(*terms(n_max), n_max * mu, half)
+    spectrum = _convolve([(m, 1.0)], _CLT_H, n_max)
+    mu, half = spectrum.mean, spectrum.half
     sigma = math.sqrt(m.variance)
     z = _ndtri(t)
     for n in range(2, n_max + 1):
-        at = inversion(n)
+        inversion = spectrum.inversion(n)
+
+        def at(x: float, inversion=inversion) -> tuple[float, float]:
+            """(F(x) - t, f(x)) for S_n."""
+            cdf, density = inversion(x)
+            return cdf - t, density
         lo, hi = n * mu - half, n * mu + half
         guess = min(max(math.sqrt(n) * sigma * z + n * mu, lo), hi)
         y = _bracketed_newton(at, lo, hi, guess, _NEWTON_TOL)
-        vals.append(math.sqrt(n) * at(y)[1])
+        vals.append(math.sqrt(n) * inversion(y)[1])
     return vals
 
 

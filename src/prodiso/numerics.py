@@ -3,16 +3,16 @@
 Densities of weighted sums of independent factors come from one pipeline.
 ``_convolve`` multiplies the factors' characteristic functions on one
 frequency grid: a closed form where the kind has one, else the FFT of the
-density sampled at a common spacing.  ``_reach`` sizes the period of that
-grid and ``_require_reach`` checks that the period holds the sum.  The
-CLT traces (``isoprofile.clt_upper_bound``) and the projection densities
-(``halfspace.projection_density``) invert that spectrum.
+density sampled at a common spacing.  It checks that the period holds the
+sum, and ``Spectrum.inversion`` is the one reader of the density and the
+CDF of the sum, or of n copies of it, for every caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,20 +235,52 @@ def _reach(factors) -> float:
         + 7.0 * math.sqrt(sum(v * v * m.variance for m, v in factors))
 
 
-def _convolve(factors, reach: float, h: float):
-    """Characteristic function phi of the sum of v X over independent
-    (measure, v) factors, at w_k = k pi / R for k = 1 up to the Nyquist
-    frequency pi / h, cut after the last w_k where |phi| > _PHI_FLOOR.
+class Spectrum(NamedTuple):
+    """Characteristic function phi(w_k) of a sum at w_k = k pi / R, their
+    weights in the inversion sums (2, or 1 at an even FFT length's Nyquist
+    frequency), the mean that phi carries and the half-period R."""
 
-    Returns w, the weights of the w_k in the Gil-Pelaez sums (2, or 1 at
-    the Nyquist frequency of an even FFT length), phi(w_k), the mean that
-    phi carries, and R: h / 2 times an FFT length that covers +-reach.  A
-    factor's phi is its closed form at v w where the kind has one, else
-    the normalized FFT of f(x / v) sampled on the symmetric grid of
-    spacing h that covers |v| times its 1e-12 truncation: the samples as
-    point masses.
+    w: np.ndarray
+    weight: np.ndarray
+    phi: np.ndarray
+    mean: float
+    half: float
+
+    def inversion(self, n: int = 1):
+        """x -> (F(x), f(x)) of the sum of n copies by Gil-Pelaez's sums
+        (Biometrika 38, 1951; discrete as in Abate and Whitt, Queueing
+        Systems 10, 1992), exact for the 2R-periodic wrap of the sum:
+
+            f(x) = dw/2pi (1 + sum_k weight_k Re(exp(-i w_k x) phi(w_k)^n)),
+            F(x) = 1/2 + dw/2pi (x - n mean
+                                 - sum_k weight_k Im(exp(-i w_k x) phi(w_k)^n) / w_k),
+
+        with dw = pi / R, over the k where |phi(w_k)|^n > _PHI_FLOOR.
+        """
+        keep = np.abs(self.phi) > _PHI_FLOOR ** (1.0 / n)
+        wk, re, pk = self.w[keep], self.weight[keep], self.phi[keep] ** n
+        im = re / wk
+        centre, scale = n * self.mean, 0.5 / self.half
+
+        def at(x: float) -> tuple[float, float]:
+            e = pk * np.exp(-1j * wk * x)
+            cdf = 0.5 + (x - centre - float(e.imag @ im)) * scale
+            return cdf, (1.0 + float(e.real @ re)) * scale
+        return at
+
+
+def _convolve(factors, h: float, copies: int = 1) -> Spectrum:
+    """Spectrum of the sum of v X over independent (measure, v) factors, at
+    w_k = k pi / R up to the Nyquist frequency pi / h, cut after the last
+    |phi| > _PHI_FLOOR, with R = h / 2 times an FFT length that covers
+    ``_reach`` of ``copies`` independent copies of the sum.  A factor's phi
+    is its closed form at v w where the kind has one, else the normalized
+    FFT of f(x / v) sampled on the symmetric grid of spacing h that covers
+    |v| times its 1e-12 truncation, as point masses.  Raises GridTooNarrow
+    unless the density of the copies half a period from their mean stays
+    below _WRAP_TOL of its value at the mean.
     """
-    size = _fft_length(2 * math.ceil(reach / h) + 1)
+    size = _fft_length(2 * math.ceil(_reach(factors * copies) / h) + 1)
     half = 0.5 * size * h
     w = np.arange(1, size // 2 + 1) * (math.pi / half)
     weight = np.full(len(w), 2.0)
@@ -267,15 +299,8 @@ def _convolve(factors, reach: float, h: float):
         mean += float(x @ vals / vals.sum())
     # R holds 7 standard deviations, so |phi(w_1)| >= 1 - (pi / 7)^2 / 2
     n = np.flatnonzero(np.abs(phi) > _PHI_FLOOR)[-1] + 1
-    return w[:n], weight[:n], phi[:n], mean, half
-
-
-def _require_reach(w, weight, phi, mean: float, half: float) -> None:
-    """Raise GridTooNarrow unless the density of the sum whose spectrum is
-    ``phi`` (from ``_convolve``), half a period from its mean, stays below
-    _WRAP_TOL of its density at the mean: the inversion sums are exact
-    for the 2R-periodic wrap of the sum, so R must hold it."""
-    def density(x: float) -> float:
-        return 1.0 + float((phi * np.exp(-1j * w * x)).real @ weight)
-    if density(mean + half) > _WRAP_TOL * density(mean):
+    spectrum = Spectrum(w[:n], weight[:n], phi[:n], mean, half)
+    density = spectrum.inversion(copies)
+    if density(copies * mean + half)[1] > _WRAP_TOL * density(copies * mean)[1]:
         raise GridTooNarrow(f"half-period {half:g} does not hold the sum")
+    return spectrum

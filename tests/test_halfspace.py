@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodiso import halfspace
+from prodiso import numerics
 from prodiso.errors import (
     DomainError,
     GridTooNarrow,
@@ -222,7 +222,7 @@ def test_sampled_projection_is_the_discrete_convolution_of_its_factors(v):
 
 
 def test_projection_reach_too_short_is_refused(monkeypatch):
-    monkeypatch.setattr(halfspace, "_reach", lambda factors: 1.0)
+    monkeypatch.setattr(numerics, "_reach", lambda factors: 1.0)
     with pytest.raises(GridTooNarrow):
         projection_density([GAUSSIAN] * 3, HalfSpace((0.6, -0.48, 0.64), 0.3))
 
@@ -334,6 +334,27 @@ def test_boundary_measure_permutation_equivariant(data):
     flipped = boundary_measure(ms, HalfSpace(tuple(-c for c in v), -t))
     assert abs(permuted - val) <= 1e-12 * val
     assert abs(flipped - val) <= 1e-12 * val
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(data=st.data())
+def test_boundary_measure_reads_the_projection_density_at_t(data):
+    # boundary_measure inverts the product spectrum at t itself, while
+    # projection_density inverts it on a lattice through t by one inverse
+    # FFT: the two readers of one spectrum agree, on and off the lattice,
+    # up to round-off on the scale of the density's peak in the tails
+    dim = data.draw(st.integers(2, 4))
+    ms = data.draw(st.lists(st.sampled_from(_MIXED), min_size=dim, max_size=dim))
+    component = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(1e-3, 1.0))
+    v = [s * c for s, c in data.draw(st.lists(component, min_size=dim,
+                                              max_size=dim))]
+    t = data.draw(st.one_of(st.integers(-400, 400).map(lambda k: 0.005 * k),
+                            st.floats(-2.0, 2.0)))
+    hs = HalfSpace(tuple(v), t)
+    proj = projection_density(ms, hs)
+    lattice = float(proj(t))
+    assert abs(boundary_measure(ms, hs) - lattice) \
+        <= 1e-13 * lattice + 1e-14 * proj.values.max()
 
 
 @pytest.mark.parametrize("m", [MeasureSpec.two_sided_exponential(),

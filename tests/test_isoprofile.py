@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodiso import isoprofile
+from prodiso import numerics
 from prodiso.errors import DomainError, GridTooNarrow, NotLogConcave
 from prodiso.isoprofile import (
     clt_upper_bound,
@@ -22,7 +22,7 @@ from prodiso.isoprofile import (
     tensor_lower_bound,
 )
 from prodiso.measures import BumpFunction, MeasureSpec
-from prodiso.numerics import _convolve, _reach
+from prodiso.numerics import _convolve
 
 LOGISTIC = MeasureSpec.logistic()
 GAUSSIAN = MeasureSpec.gaussian(1.0)
@@ -152,11 +152,11 @@ def test_sampled_spectrum_matches_the_closed_form(m, monkeypatch):
     # phi of v X from the FFT of its samples, at the CLT and the projection
     # spacings, against the closed form at v w; each spectrum ends where
     # |phi| falls below the floor, so the shorter one is read as padded
-    closed = {(v, h): _convolve([(m, v)], _reach([(m, v)]), h)
+    closed = {(v, h): _convolve([(m, v)], h)
               for v in (1.0, 0.6, -0.48, 0.15) for h in (0.01, 0.005)}
     monkeypatch.setattr(MeasureSpec, "characteristic", lambda self, w: None)
     for (v, h), (w, weight, phi, _, half) in closed.items():
-        w_s, weight_s, sampled, mu, half_s = _convolve([(m, v)], _reach([(m, v)]), h)
+        w_s, weight_s, sampled, mu, half_s = _convolve([(m, v)], h)
         n, k = sorted((len(w), len(w_s)))
         assert np.array_equal(w[:n], w_s[:n]) and half == half_s
         assert np.array_equal(weight[:n], weight_s[:n])
@@ -166,7 +166,7 @@ def test_sampled_spectrum_matches_the_closed_form(m, monkeypatch):
 
 
 def test_clt_half_period_too_short_is_refused(monkeypatch):
-    monkeypatch.setattr(isoprofile, "_reach", lambda factors: 5.0)
+    monkeypatch.setattr(numerics, "_reach", lambda factors: 5.0)
     with pytest.raises(GridTooNarrow):
         clt_upper_bound(LOGISTIC, 0.3, 16)
 

@@ -32,7 +32,10 @@ def test_integrate_known_values():
 
 
 def test_integrate_orientation_and_degenerate():
-    assert integrate(lambda x: x, 1.0, 0.0) == -0.5
+    def f(x):
+        return x
+    assert integrate(f, 1.0, 0.0) == -integrate(f, 0.0, 1.0)
+    assert abs(integrate(f, 1.0, 0.0) + 0.5) <= 1e-15
     assert integrate(lambda x: x, 2.0, 2.0) == 0.0
 
 
