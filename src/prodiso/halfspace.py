@@ -352,7 +352,9 @@ def noncoordinate_stability(m: MeasureSpec, alpha: int, tau: float,
     The problem reduces to the two 1-D weighted Poincare conditions on the
     boundary density: dimension 2 needs only the zero-mean condition, and
     dimension >= 3 additionally the shifted unconstrained one; verdicts do
-    not depend on the dimension beyond that split.
+    not depend on the dimension beyond that split.  The certificates hold
+    lambda_tau and, for each condition checked, its value with the lower
+    end of its certified bracket and its residual.
     """
     if alpha not in (1, -1):
         raise DomainError("alpha must be +1 or -1")
@@ -372,11 +374,13 @@ def noncoordinate_stability(m: MeasureSpec, alpha: int, tau: float,
     nu, theta = boundary_density(m, alpha, tau, grid)
 
     p1 = check_P1(nu, theta, grid)
-    certs = {"lambda_tau": lam, "p1_eigenvalue": p1.value}
+    certs = {"lambda_tau": lam, "p1_eigenvalue": p1.value,
+             "p1_lower_bound": p1.lower_bound, "p1_residual": p1.residual}
     checks = [p1.value]
     if dim >= 3:
         p2 = check_P2(nu, theta, lam, grid)
-        certs["p2_infimum"] = p2.value
+        certs.update(p2_infimum=p2.value, p2_lower_bound=p2.lower_bound,
+                     p2_residual=p2.residual)
         checks.append(p2.value)
 
     if any(v <= 1.0 - solver_margin for v in checks):

@@ -6,9 +6,13 @@ a tridiagonal pencil with at most one linear constraint (zero weighted
 mean) that carries its own equilibrated LAPACK factor.  One certified
 solver handles every such pencil, shifted or constrained: shift-invert
 iteration with the constraint eliminated by the Schur complement, and an
-LDL^T inertia count that certifies the eigenvalue as the smallest
-admissible one.  The 2-D oracle's pencil is an ``EigenProblem`` too, once
-fast diagonalization in one factor splits it into tridiagonal blocks.
+inertia count that certifies the eigenvalue as the smallest admissible
+one.  Each shift takes its count and, when positive definite, its solve
+from one unpivoted LDL^T pass (dpttrf); only a shift with exactly one
+negative pivot, which the constraint can absorb, adds a pivoted LU
+(dgttrf).  The 2-D oracle's pencil is an ``EigenProblem`` too, once fast
+diagonalization in one factor splits it into tridiagonal blocks, whose
+zero couplings the same pass goes through.
 The spectral gap is the same solver's mean-constrained eigenvalue, so it
 carries the same certificate, and is memoized per (measure, options).
 
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dstebz
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 # bound only for bench/tracer.py to wrap, until ROADMAP item 5 retires both
 from scipy.sparse.linalg import splu  # noqa: F401
 
@@ -81,16 +85,38 @@ class EigenProblem:
                 self.mass_diag * dsc * dsc)
 
     def _factor(self, sigma: float):
-        """A solve with A - sigma M and the count of its negative pivots, or
-        None when it has no count: dgttrf solves, no negative pivot when
-        dpttrf succeeds, else dstebz's Sturm count."""
+        """A solve with A - sigma M and its count of negative pivots, 0 or 1,
+        from one unpivoted LDL^T pass (dpttrf); None when there is no count,
+        or a count that no shift can pass.
+
+        A positive definite shift solves on the same factor (dpttrs).  When
+        dpttrf stops at a negative pivot d_k, the pass restarts on the
+        trailing Schur complement, whose first entry loses e_k^2 / d_k: if
+        that succeeds there is exactly one negative pivot, the count of
+        A - sigma M by Sylvester's law of inertia, and only then does the
+        indefinite solve pay for dgttrf.  Two or more negative pivots, a
+        zero or non-finite one, or one with no constraint to absorb it
+        give None without an LU."""
         dsc, sa, so, sm = self._equilibrated
         diag = sa - sigma * sm
+        d, e, info = dpttrf(diag, so)
+        if info == 0:
+            return (lambda r: dsc * dpttrs(d, e, dsc * r)[0]), 0
+        k = info - 1
+        pivot = float(d[k])
+        if self.constraint is None or not -math.inf < pivot < 0.0:
+            return None
+        if k + 1 < len(diag):
+            tail = diag[k + 1:].copy()
+            tail[0] -= so[k] * so[k] / pivot
+            # dpttrf takes no empty off-diagonal
+            if not (tail[0] > 0.0 if len(tail) == 1
+                    else dpttrf(tail, so[k + 1:])[2] == 0):
+                return None
         *lu, info = dgttrf(so, diag, so)
         if info != 0:
             return None
-        neg = 0 if dpttrf(diag, so)[2] == 0 else _negative_pivots(diag, so)
-        return (lambda r: dsc * dgttrs(*lu, dsc * r)[0]), neg
+        return (lambda r: dsc * dgttrs(*lu, dsc * r)[0]), 1
 
 
 @dataclass(frozen=True)
@@ -99,13 +125,15 @@ class EigenResult:
     an inertia count found no admissible eigenvalue below ``lower_bound``,
     so it lies in [lower_bound, value], whose upper end is the Rayleigh
     quotient of ``eigenvector``; ``residual`` is |A u - value M u| / |M u|.
-    ``solves`` counts the solves."""
+    ``solves`` counts the solves and ``factorizations`` the shifts
+    factored."""
 
     value: float
     residual: float
     eigenvector: np.ndarray | None = None
     lower_bound: float = -math.inf
     solves: int = 0
+    factorizations: int = 0
 
 
 def assemble(stiffness_weight, mass_weight, grid: Grid,
@@ -158,14 +186,6 @@ _START_GAP = 1e-10    # first shift below the row-sum bound, relative
 _MAX_SOLVES = 200
 
 
-def _negative_pivots(diag: np.ndarray, off: np.ndarray) -> int:
-    """Size of a symmetric tridiagonal matrix's nonpositive spectrum: the
-    Sturm count of negative LDL^T pivots (Barth, Martin and Wilkinson 1967)
-    by dstebz between a Gershgorin bound and 0, stopped there by its tolerance."""
-    low = float(np.min(diag)) - 2.0 * float(np.max(np.abs(off))) - 1.0
-    return int(dstebz(diag, off, 1, low, 0.0, 0, 0, -low, b"B")[0])
-
-
 def _start_shift(problem: EigenProblem) -> float:
     """A shift strictly below the pencil's spectrum.
 
@@ -213,10 +233,13 @@ def _shift_invert(problem: EigenProblem, y: np.ndarray) -> EigenResult:
     a, off, m, c = (problem.diag, problem.off, problem.mass_diag,
                     problem.constraint)
     abs_a, abs_off = np.abs(a), np.abs(off)
+    factorizations = 0
 
     def count(sigma: float):
         """A solve with A - sigma M and its Schur-complement terms, or None
         when an admissible eigenvalue may lie at or below sigma."""
+        nonlocal factorizations
+        factorizations += 1
         factored = problem._factor(sigma)
         if factored is None:
             return None
@@ -274,7 +297,7 @@ def _shift_invert(problem: EigenProblem, y: np.ndarray) -> EigenResult:
         raise NoConvergence("shift-invert iteration did not converge")
 
     return EigenResult(rho, _residual(ay, rho, m * y, c),
-                       y / np.max(np.abs(y)), lo, solves)
+                       y / np.max(np.abs(y)), lo, solves, factorizations)
 
 
 def _residual(au: np.ndarray, rho: float, mass_u: np.ndarray,

@@ -146,6 +146,22 @@ def test_noncoordinate_logistic_dims():
     assert noncoordinate_stability(LOGISTIC, -1, 0.0, 7).tag == UNSTABLE
 
 
+def test_noncoordinate_certificates_carry_brackets():
+    # every eigenvalue behind the verdict comes with its certified bracket
+    # and residual, P2's only where P2 is checked
+    v2 = noncoordinate_stability(LOGISTIC, -1, 0.0, 2).certificates
+    v3 = noncoordinate_stability(LOGISTIC, -1, 0.0, 3).certificates
+    assert not any(k.startswith("p2_") for k in v2)
+    for certs, name, key in ((v2, "p1", "p1_eigenvalue"),
+                             (v3, "p1", "p1_eigenvalue"),
+                             (v3, "p2", "p2_infimum")):
+        value = certs[key]
+        assert certs[name + "_lower_bound"] <= value
+        assert value <= certs[name + "_lower_bound"] + 1e-8 * value
+        assert 0.0 <= certs[name + "_residual"] < 1e-9
+    assert {k: v3[k] for k in v2} == v2
+
+
 def test_noncoordinate_power_unstable_in_dim2():
     assert noncoordinate_stability(POWER4, -1, 0.0, 2).tag == UNSTABLE
 

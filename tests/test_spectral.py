@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prodiso import spectral
@@ -234,12 +234,19 @@ def test_certificate_recovers_from_even_start():
 
 
 def test_failed_count_raises(monkeypatch):
-    # a count that never passes must end in NoConvergence, not in a value
+    # a count that never passes must end in NoConvergence, not in a value:
+    # no count at all, or a true solve with more negative pivots than the
+    # constraint absorbs
     grid, nu, theta = _logistic_bisector_weights(n=1001)
-    prob = assemble(nu, theta * nu, grid, constraint_weight=nu)
-    monkeypatch.setattr(spectral, "_negative_pivots", lambda d, q: len(d))
-    with pytest.raises(NoConvergence):
-        solve_smallest(prob)
+    factor = spectral.EigenProblem._factor
+    for never in (lambda self, sigma: None,
+                  lambda self, sigma: (factor(self, sigma)[0], len(self.diag))):
+        for prob in (assemble(nu, theta * nu, grid, constraint_weight=nu),
+                     assemble(nu, theta * nu, grid, shift=0.25,
+                              shift_mass_weight=nu)):
+            monkeypatch.setattr(spectral.EigenProblem, "_factor", never)
+            with pytest.raises(NoConvergence):
+                solve_smallest(prob)
 
 
 def test_result_is_certified():
@@ -316,9 +323,12 @@ def test_power_p2_with_zero_centre_mass():
     assert abs(check_P2(nu, theta, 2.7, grid).value - ref) < 1e-9 * ref
 
 
+def _dense(prob):
+    return np.diag(prob.diag) + np.diag(prob.off, 1) + np.diag(prob.off, -1)
+
+
 def _dense_smallest(prob):
-    a = np.diag(prob.diag) + np.diag(prob.off, 1) + np.diag(prob.off, -1)
-    m = np.diag(prob.mass_diag)
+    a, m = _dense(prob), np.diag(prob.mass_diag)
     if prob.constraint is not None:
         c = prob.constraint
         q, _ = np.linalg.qr(np.column_stack([c, np.eye(c.size)[:, :-1]]))
@@ -365,6 +375,149 @@ def test_random_pencils_are_certified(seed, n, kind, shift):
     res = solve_smallest(prob)
     assert res.lower_bound <= ref + 1e-9 * abs(ref)
     assert res.value >= ref - 1e-9 * abs(ref)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.sampled_from(range(5, 42, 2)),
+       shift=st.sampled_from((0.0, 0.5, 2.0)),
+       weighted=st.booleans())
+def test_constrained_minimum_interlaces(seed, n, shift, weighted):
+    # one linear constraint puts the constrained minimum between the first
+    # two eigenvalues of the unconstrained pencil (Courant-Fischer), and
+    # the certified bracket holds the dense constrained reference
+    rng = np.random.default_rng(seed)
+    nu, _, theta, grid = random_oracle_instance(rng, n)
+    grid, nu, theta = _crop_support(nu, grid, theta)
+    c = nu * np.exp(rng.normal(0.0, 0.5, grid.n)) if weighted else nu
+    free = assemble(nu, theta * nu, grid, shift=shift, shift_mass_weight=nu)
+    prob = assemble(nu, theta * nu, grid, constraint_weight=c, shift=shift,
+                    shift_mass_weight=nu)
+    lam1, lam2 = scipy.linalg.eigh(_dense(free), np.diag(free.mass_diag),
+                                   eigvals_only=True, subset_by_index=(0, 1))
+    res = solve_smallest(prob)
+    ref = _dense_smallest(prob)
+    tol = 1e-9 * lam2
+    assert lam1 - tol <= ref <= lam2 + tol
+    assert lam1 - tol <= res.value <= lam2 + tol
+    assert res.lower_bound <= ref + tol
+    assert res.value >= ref - tol
+
+
+def _backward_error(prob, sigma, solve, r):
+    """Componentwise backward error of solve(r) as a solve with
+    A - sigma M."""
+    shifted = prob.diag - sigma * prob.mass_diag
+    x = solve(r)
+    back = spectral._tridiagonal_apply(shifted, prob.off, x)
+    size = spectral._tridiagonal_apply(np.abs(shifted), np.abs(prob.off),
+                                       np.abs(x))
+    return float(np.max(np.abs(back - r) / (size + np.abs(r))))
+
+
+def _graded_blocks(rng, blocks, n, constrained):
+    """Tridiagonal pencils with node weights over many decades, stacked
+    block by block with zero couplings at the joins."""
+    grid = Grid.symmetric_grid(1.0, n)
+    parts = []
+    for _ in range(blocks):
+        w = np.exp(np.cumsum(rng.normal(0.0, 2.0, n)))
+        parts.append(assemble(w, w * rng.uniform(0.5, 2.0, n), grid,
+                              constraint_weight=w, shift=rng.uniform(-20, 20)))
+    return spectral.EigenProblem(
+        None, np.concatenate([p.diag for p in parts]),
+        np.concatenate([np.r_[p.off, 0.0] for p in parts])[:-1],
+        np.concatenate([p.mass_diag for p in parts]),
+        np.concatenate([p.constraint for p in parts]) if constrained else None)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       blocks=st.integers(1, 3),
+       n=st.sampled_from(range(3, 30, 2)),
+       below=st.integers(0, 3),
+       constrained=st.booleans())
+def test_factor_counts_zero_or_one_negative_pivot(seed, blocks, n, below,
+                                                  constrained):
+    # _factor counts the pencil's eigenvalues below the shift when there
+    # are at most one, and one only with a constraint to absorb it; two or
+    # more give None.  Its solve is backward stable either way.
+    prob = _graded_blocks(np.random.default_rng(seed), blocks, n, constrained)
+    ev = scipy.linalg.eigvalsh(_scaled(_dense(prob), prob.mass_diag))
+    sigma = (2.0 * ev[0] - ev[1] if below == 0
+             else 0.5 * (ev[below - 1] + ev[below]))
+    assume(np.min(np.abs(ev - sigma)) > 1e-8 * np.max(np.abs(ev)))
+    factored = prob._factor(sigma)
+    if below >= 2 or (below == 1 and not constrained):
+        assert factored is None
+        return
+    solve, neg = factored
+    assert neg == below
+    r = np.cos(np.arange(len(prob.diag)))
+    assert _backward_error(prob, sigma, solve, r) <= 1e-14
+
+
+def _pivot_problem(diag, off, constrained=True):
+    # row maxima of 1 or 4 keep the equilibration exact, so the pivots at
+    # sigma = 0 are the ones written in each case
+    n = len(diag)
+    return spectral.EigenProblem(None, np.array(diag, dtype=float),
+                                 np.array(off, dtype=float), np.ones(n),
+                                 np.ones(n) if constrained else None)
+
+
+@pytest.mark.parametrize("diag, off, count", [
+    # first nonpositive pivot at the last index, nothing left to restart on
+    ([4.0, 4.0, -1.0], [-1.0, -1.0], 1),
+    # a negative pivot then a one-entry tail: positive, then negative
+    ([4.0, -1.0, 4.0], [-1.0, -1.0], 1),
+    ([4.0, -1.0, -4.0], [-1.0, -1.0], None),
+    # a negative pivot then a longer tail with a second one
+    ([4.0, -1.0, 4.0, -4.0], [-1.0, -1.0, -1.0], None),
+    # exact zero pivots, inside and at the last index, have no count
+    ([1.0, 1.0, 4.0], [-1.0, -1.0], None),
+    ([1.0, 1.0], [-1.0], None),
+], ids=["last", "tail-of-one", "tail-of-one-negative", "two-negative",
+        "zero", "zero-last"])
+def test_factor_edge_pivots(diag, off, count):
+    # None leaves the shift failed, which is right only with an eigenvalue
+    # at or below it
+    prob = _pivot_problem(diag, off)
+    ev = np.linalg.eigvalsh(_dense(prob))
+    factored = prob._factor(0.0)
+    if count is None:
+        assert factored is None
+        assert np.min(ev) <= 1e-15
+        return
+    solve, neg = factored
+    assert neg == count == np.count_nonzero(ev < 0.0)
+    assert _backward_error(prob, 0.0, solve, np.ones(len(diag))) <= 1e-14
+    # one negative pivot and no constraint to absorb it: no count
+    assert _pivot_problem(diag, off, constrained=False)._factor(0.0) is None
+
+
+def test_lu_only_at_one_negative_pivot(monkeypatch):
+    # positive definite shifts solve on their LDL^T factor; dgttrf runs
+    # only at shifts with exactly one negative pivot
+    grid, nu, theta = _logistic_bisector_weights()
+    grid, nu, theta = _crop_support(nu, grid, theta)
+    calls = []
+    dgttrf = spectral.dgttrf
+
+    def counted(dl, d, du):
+        calls.append((d.copy(), dl.copy()))
+        return dgttrf(dl, d, du)
+
+    monkeypatch.setattr(spectral, "dgttrf", counted)
+    p2 = solve_smallest(assemble(nu, theta * nu, grid, shift=0.25,
+                                 shift_mass_weight=nu))
+    assert p2.factorizations >= 2
+    assert calls == []
+    p1 = solve_smallest(assemble(nu, theta * nu, grid, constraint_weight=nu))
+    assert 1 <= len(calls) <= p1.factorizations
+    for d, e in calls:
+        ev = scipy.linalg.eigvalsh_tridiagonal(d, e)
+        assert np.count_nonzero(ev < 0.0) == 1
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -505,11 +658,20 @@ def test_product_pencil_is_certified(monkeypatch):
     assert res.lower_bound <= ref * (1 + 1e-12)
     assert lam >= ref * (1 - 1e-12)
     # the blocks' negative pivots count the assembled pencil's eigenvalues
-    # below the shift (Sylvester)
+    # below the shift (Sylvester) when there are at most one, and give no
+    # count above that; each counted shift's solve inverts its blocks
     ev = scipy.linalg.eigvalsh(_scaled(a2, mass2))
-    for sigma in (spectral._start_shift(pencil), 0.5 * (ev[1] + ev[2]),
-                  0.5 * (ev[6] + ev[7])):
-        assert pencil._factor(sigma)[1] == np.count_nonzero(ev < sigma)
+    r = np.cos(np.arange(len(pencil.diag)))
+    for sigma in (spectral._start_shift(pencil), 0.5 * (ev[0] + ev[1]),
+                  0.5 * (ev[1] + ev[2]), 0.5 * (ev[6] + ev[7])):
+        below = np.count_nonzero(ev < sigma)
+        factored = pencil._factor(sigma)
+        if below >= 2:
+            assert factored is None
+            continue
+        solve, neg = factored
+        assert neg == below
+        assert _backward_error(pencil, sigma, solve, r) <= 1e-14
     # a start shift above the eigenvalue fails its count
     monkeypatch.setattr(spectral, "_start_shift", lambda p: 2.0 * lam)
     with pytest.raises(NoConvergence):
