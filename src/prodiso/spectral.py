@@ -113,6 +113,8 @@ class EigenProblem:
             if not (tail[0] > 0.0 if len(tail) == 1
                     else dpttrf(tail, so[k + 1:])[2] == 0):
                 return None
+        # pivoted LU, not the LDL^T above: its multiplier e_k / d_k, and with
+        # it the unpivoted solve's backward error, grows as d_k nears zero
         *lu, info = dgttrf(so, diag, so)
         if info != 0:
             return None

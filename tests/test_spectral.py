@@ -234,19 +234,28 @@ def test_certificate_recovers_from_even_start():
 
 
 def test_failed_count_raises(monkeypatch):
-    # a count that never passes must end in NoConvergence, not in a value:
-    # no count at all, or a true solve with more negative pivots than the
-    # constraint absorbs
+    # a count that never passes must end in NoConvergence, not in a value
     grid, nu, theta = _logistic_bisector_weights(n=1001)
+    constrained = assemble(nu, theta * nu, grid, constraint_weight=nu)
+    shifted = assemble(nu, theta * nu, grid, shift=0.25, shift_mass_weight=nu)
     factor = spectral.EigenProblem._factor
-    for never in (lambda self, sigma: None,
-                  lambda self, sigma: (factor(self, sigma)[0], len(self.diag))):
-        for prob in (assemble(nu, theta * nu, grid, constraint_weight=nu),
-                     assemble(nu, theta * nu, grid, shift=0.25,
-                              shift_mass_weight=nu)):
-            monkeypatch.setattr(spectral.EigenProblem, "_factor", never)
-            with pytest.raises(NoConvergence):
-                solve_smallest(prob)
+
+    def definite_only(self, sigma):
+        factored = factor(self, sigma)
+        return factored if factored is not None and factored[1] == 0 else None
+
+    # only positive definite shifts pass: the start shift does, but every
+    # shift above the constrained pencil's unconstrained ground state fails,
+    # and the bracket halves until the iteration gives up
+    monkeypatch.setattr(spectral.EigenProblem, "_factor", definite_only)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        solve_smallest(constrained)
+    # no count at all fails at the start shift
+    monkeypatch.setattr(spectral.EigenProblem, "_factor",
+                        lambda self, sigma: None)
+    for prob in (constrained, shifted):
+        with pytest.raises(NoConvergence, match="start shift"):
+            solve_smallest(prob)
 
 
 def test_result_is_certified():
@@ -477,8 +486,10 @@ def _pivot_problem(diag, off, constrained=True):
     # exact zero pivots, inside and at the last index, have no count
     ([1.0, 1.0, 4.0], [-1.0, -1.0], None),
     ([1.0, 1.0], [-1.0], None),
+    # a tiny negative pivot, whose unpivoted solve loses backward stability
+    ([-1e-12, 1.0, 1.0, 1.0], [1.0, 0.5, 0.5], 1),
 ], ids=["last", "tail-of-one", "tail-of-one-negative", "two-negative",
-        "zero", "zero-last"])
+        "zero", "zero-last", "tiny-negative"])
 def test_factor_edge_pivots(diag, off, count):
     # None leaves the shift failed, which is right only with an eigenvalue
     # at or below it
@@ -658,20 +669,10 @@ def test_product_pencil_is_certified(monkeypatch):
     assert res.lower_bound <= ref * (1 + 1e-12)
     assert lam >= ref * (1 - 1e-12)
     # the blocks' negative pivots count the assembled pencil's eigenvalues
-    # below the shift (Sylvester) when there are at most one, and give no
-    # count above that; each counted shift's solve inverts its blocks
+    # below the shift (Sylvester): one below gives 1, two give no count
     ev = scipy.linalg.eigvalsh(_scaled(a2, mass2))
-    r = np.cos(np.arange(len(pencil.diag)))
-    for sigma in (spectral._start_shift(pencil), 0.5 * (ev[0] + ev[1]),
-                  0.5 * (ev[1] + ev[2]), 0.5 * (ev[6] + ev[7])):
-        below = np.count_nonzero(ev < sigma)
-        factored = pencil._factor(sigma)
-        if below >= 2:
-            assert factored is None
-            continue
-        solve, neg = factored
-        assert neg == below
-        assert _backward_error(pencil, sigma, solve, r) <= 1e-14
+    assert pencil._factor(0.5 * (ev[0] + ev[1]))[1] == 1
+    assert pencil._factor(0.5 * (ev[1] + ev[2])) is None
     # a start shift above the eigenvalue fails its count
     monkeypatch.setattr(spectral, "_start_shift", lambda p: 2.0 * lam)
     with pytest.raises(NoConvergence):
