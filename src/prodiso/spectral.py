@@ -10,9 +10,11 @@ inertia count that certifies the eigenvalue as the smallest admissible
 one.  Each shift takes its count and, when positive definite, its solve
 from one unpivoted LDL^T pass (dpttrf); only a shift with exactly one
 negative pivot, which the constraint can absorb, adds a pivoted LU
-(dgttrf).  The 2-D oracle's pencil is an ``EigenProblem`` too, once fast
+(dgttrf), and only over the block of nonzero couplings that holds that
+pivot.  The 2-D oracle's pencil is an ``EigenProblem`` too, once fast
 diagonalization in one factor splits it into tridiagonal blocks, whose
-zero couplings the same pass goes through.
+zero couplings the same pass goes through; its solve starts from the
+lower ends of the 1-D brackets of P1 and P2, which its own count checks.
 The spectral gap is the same solver's mean-constrained eigenvalue, so it
 carries the same certificate, and is memoized per (measure, options).
 
@@ -84,6 +86,20 @@ class EigenProblem:
         return (dsc, self.diag * dsc * dsc, self.off * dsc[:-1] * dsc[1:],
                 self.mass_diag * dsc * dsc)
 
+    @functools.cached_property
+    def _splits(self) -> np.ndarray:
+        """Indices i of the zero couplings off[i], where the pencil splits
+        into independent tridiagonal blocks, as the 2-D oracle's stacked
+        pencil does at its joins."""
+        return np.flatnonzero(self.off == 0.0)
+
+    def _block(self, k: int) -> tuple[int, int]:
+        """The block [s, t): the run of nonzero couplings that holds node k."""
+        splits = self._splits
+        i = int(np.searchsorted(splits, k))
+        return (int(splits[i - 1]) + 1 if i else 0,
+                int(splits[i]) + 1 if i < len(splits) else len(self.diag))
+
     def _factor(self, sigma: float):
         """A solve with A - sigma M and its count of negative pivots, 0 or 1,
         from one unpivoted LDL^T pass (dpttrf); None when there is no count,
@@ -93,10 +109,14 @@ class EigenProblem:
         dpttrf stops at a negative pivot d_k, the pass restarts on the
         trailing Schur complement, whose first entry loses e_k^2 / d_k: if
         that succeeds there is exactly one negative pivot, the count of
-        A - sigma M by Sylvester's law of inertia, and only then does the
-        indefinite solve pay for dgttrf.  Two or more negative pivots, a
-        zero or non-finite one, or one with no constraint to absorb it
-        give None without an LU."""
+        A - sigma M by Sylvester's law of inertia.  Only then does the
+        indefinite solve pay for a pivoted LU (dgttrf), and only over the
+        block [s, t) of nonzero couplings that holds k: the blocks before
+        it solve on the first pass's factor and those after it on the
+        restart's, so a pencil with no zero coupling, every 1-D one, takes
+        one LU over all of it.  Two or more negative pivots, a zero or
+        non-finite one, or one with no constraint to absorb it give None
+        without an LU."""
         dsc, sa, so, sm = self._equilibrated
         diag = sa - sigma * sm
         d, e, info = dpttrf(diag, so)
@@ -106,19 +126,47 @@ class EigenProblem:
         pivot = float(d[k])
         if self.constraint is None or not -math.inf < pivot < 0.0:
             return None
-        if k + 1 < len(diag):
-            tail = diag[k + 1:].copy()
-            tail[0] -= so[k] * so[k] / pivot
-            # dpttrf takes no empty off-diagonal
-            if not (tail[0] > 0.0 if len(tail) == 1
-                    else dpttrf(tail, so[k + 1:])[2] == 0):
+        n = len(diag)
+        if k + 1 < n:
+            # the pass stopped before touching d[k + 1:] and e[k + 1:],
+            # which still hold diag and so there
+            d[k + 1] -= so[k] * so[k] / pivot
+            if k + 2 == n:    # dpttrf takes no empty off-diagonal
+                if not d[k + 1] > 0.0:
+                    return None
+            else:
+                d[k + 1:], e[k + 1:], info = dpttrf(d[k + 1:], e[k + 1:])
+                if info != 0:
+                    return None
+        s, t = self._block(k)
+        if t - s == 1:
+            def block_solve(x):
+                return x / pivot
+        else:
+            # pivoted LU, not the LDL^T above: its multiplier e_k / d_k, and
+            # with it the unpivoted solve's backward error, grows as d_k
+            # nears zero
+            *lu, info = dgttrf(so[s:t - 1], diag[s:t], so[s:t - 1])
+            if info != 0:
                 return None
-        # pivoted LU, not the LDL^T above: its multiplier e_k / d_k, and with
-        # it the unpivoted solve's backward error, grows as d_k nears zero
-        *lu, info = dgttrf(so, diag, so)
-        if info != 0:
-            return None
-        return (lambda r: dsc * dgttrs(*lu, dsc * r)[0]), 1
+
+            def block_solve(x):
+                return dgttrs(*lu, x)[0]
+        if t - s == n:
+            return (lambda r: dsc * block_solve(dsc * r)), 1
+        # the positive definite blocks solve in one dpttrs, with the
+        # indefinite block's rows of the factor set to the identity: solved
+        # on d_k, those rows can overflow, and 0 * inf at a zero coupling
+        # would carry it into the blocks around them
+        d[s:t], e[s:t - 1] = 1.0, 0.0
+
+        def solve(r):
+            x = dsc * r
+            out = dpttrs(d, e, x)[0]
+            out[s:t] = block_solve(x[s:t])
+            return dsc * out
+
+        return solve, 1
 
 
 @dataclass(frozen=True)
@@ -220,7 +268,8 @@ def _tridiagonal_apply(diag: np.ndarray, off: np.ndarray,
     return out
 
 
-def _shift_invert(problem: EigenProblem, y: np.ndarray) -> EigenResult:
+def _shift_invert(problem: EigenProblem, y: np.ndarray,
+                  start: float | None = None) -> EigenResult:
     """Smallest admissible eigenvalue of (A, M) by shift-invert iteration.
 
     Every shift in use has passed an inertia count showing no admissible
@@ -231,6 +280,13 @@ def _shift_invert(problem: EigenProblem, y: np.ndarray) -> EigenResult:
     admissible count below sigma is neg(S) + [c^T S^{-1} c > 0] - 1.  The
     result is returned once the shift sits within a small relative margin
     below the Rayleigh quotient, which brackets the eigenvalue.
+
+    The first shift is ``start`` when that is finite, above the row-sum
+    bound of ``_start_shift`` and passes the count; a start close below the
+    eigenvalue leaves the iteration little to do.  A start that fails its
+    count costs that one factorization and is otherwise forgotten: the
+    solve runs from the row-sum bound exactly as without it, bracket and
+    value alike.
     """
     a, off, m, c = (problem.diag, problem.off, problem.mass_diag,
                     problem.constraint)
@@ -253,9 +309,15 @@ def _shift_invert(problem: EigenProblem, y: np.ndarray) -> EigenResult:
         return (solve, wc, f) if neg + (f > 0.0) - 1 == 0 else None
 
     lo = _start_shift(problem)
-    state = count(lo)
+    state = None
+    if start is not None and lo < start < math.inf:
+        state = count(start)
+        if state is not None:
+            lo = start
     if state is None:
-        raise NoConvergence("the start shift failed the inertia count")
+        state = count(lo)
+        if state is None:
+            raise NoConvergence("the start shift failed the inertia count")
     hi = rho_prev = step = math.inf
     failed = False
     if c is not None:   # so that M y has a part the constraint keeps
@@ -577,6 +639,15 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
     ``residual`` are those of the eigenvector on the assembled 2-D operator.
     Near-threshold instances (within 0.02 of 1 on either side) count as
     inconclusive agreement.  Grids above n = 201 raise OutOfBudget.
+
+    The 2-D solve starts at the smaller of the lower ends of P1's and P2's
+    certified brackets: on the grid, blocks 0 and 1 of the decoupled pencil
+    are P1's and P2's pencils, so lambda_2d = min(P1, P2) up to rounding and
+    the start sits just below it.  The start only saves work: lambda_2d is
+    certified by the 2-D pencil's own inertia count and Rayleigh quotient.
+    Were an instance to break tensorization, with lambda_2d below the
+    start, the start would fail that count and the cold solve would run,
+    so the oracle can still falsify the 1-D conditions.
     """
     if grid.n > _ORACLE_BUDGET:
         raise OutOfBudget(f"product grid {grid.n}x{grid.n} exceeds budget")
@@ -604,7 +675,10 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
     # (I (x) Phi)^-1 = I (x) Phi^T M_x
     x = grid.nodes()
     v0 = (phi.T * tau_w) @ np.add.outer(x, x).T
-    v = _shift_invert(pencil, v0.ravel()).eigenvector.reshape(grid.n, grid.n)
+    # just below lambda_2D = min(P1, P2); the 2-D count still decides
+    v = _shift_invert(pencil, v0.ravel(),
+                      start=min(p1.lower_bound, p2.lower_bound)
+                      ).eigenvector.reshape(grid.n, grid.n)
 
     # the Rayleigh quotient and residual on the assembled operator, with
     # A2 and M2 applied along each axis

@@ -1,7 +1,10 @@
 """Eigenvalue solver, spectral gaps, weighted conditions and the 2-D oracle."""
 
+import contextlib
+import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,6 +273,49 @@ def test_result_is_certified():
         assert res.residual < 1e-9
 
 
+def _start_cases():
+    """A constrained and a shifted 1-D pencil and a product pencil, each
+    with the start vector its solver uses."""
+    grid, nu, theta = _logistic_bisector_weights(n=1001)
+    grid, nu, theta = _crop_support(nu, grid, theta)
+    pencil, *_, v0 = _small_product_pencil()
+    return {
+        "constrained": (assemble(nu, theta * nu, grid, constraint_weight=nu),
+                        grid.nodes()),
+        "shifted": (assemble(nu, theta * nu, grid, shift=0.25,
+                             shift_mass_weight=nu), np.ones(grid.n)),
+        "product": (pencil, v0),
+    }
+
+
+@pytest.mark.parametrize("case", ["constrained", "shifted", "product"])
+def test_start_shift_falls_back_to_the_cold_start(case):
+    prob, y0 = _start_cases()[case]
+    cold = _shift_invert(prob, y0)
+    lam = cold.value
+    # a start above the eigenvalue fails its count and is forgotten: the
+    # cold solve runs as without it, one factorization later
+    for start in (lam * (1.0 + 1e-6), 2.0 * lam + 1.0):
+        res = _shift_invert(prob, y0, start=start)
+        assert res.value == lam
+        assert res.lower_bound == cold.lower_bound
+        assert res.solves == cold.solves
+        assert res.factorizations == cold.factorizations + 1
+        assert np.array_equal(res.eigenvector, cold.eigenvector)
+    # a start at or below the row-sum bound, or not finite, is not tried
+    bound = spectral._start_shift(prob)
+    for start in (bound, bound - 1.0, -math.inf, math.inf, math.nan):
+        res = _shift_invert(prob, y0, start=start)
+        assert (res.value, res.lower_bound, res.factorizations) == (
+            lam, cold.lower_bound, cold.factorizations)
+    # a start that passes is the bracket's lower end, and the iteration
+    # needs no other shift
+    res = _shift_invert(prob, y0, start=cold.lower_bound)
+    assert res.lower_bound == cold.lower_bound <= res.value
+    assert abs(res.value - lam) <= 1e-12 * abs(lam)
+    assert res.factorizations == 1
+
+
 def _logistic_bisector_weights(n=4001, half_width=56.0):
     grid = Grid.symmetric_grid(half_width, n)
     return grid, *boundary_density(MeasureSpec.logistic(), -1, 0.0, grid)
@@ -507,6 +553,18 @@ def test_factor_edge_pivots(diag, off, count):
     assert _pivot_problem(diag, off, constrained=False)._factor(0.0) is None
 
 
+def test_indefinite_block_keeps_its_overflow():
+    # the solve of the definite block before a join must not read the
+    # indefinite block's rows of the LDL^T factor, whose tiny pivot makes
+    # them overflow
+    prob = _pivot_problem([1.0, -1e-300, 1.0, 1.0], [0.0, 1.0, 0.5])
+    assert np.count_nonzero(np.linalg.eigvalsh(_dense(prob)) < 0.0) == 1
+    solve, neg = prob._factor(0.0)
+    assert neg == 1
+    r = np.array([1.0, 1e10, 1.0, 1.0])
+    assert _backward_error(prob, 0.0, solve, r) <= 1e-14
+
+
 def test_lu_only_at_one_negative_pivot(monkeypatch):
     # positive definite shifts solve on their LDL^T factor; dgttrf runs
     # only at shifts with exactly one negative pivot
@@ -529,6 +587,58 @@ def test_lu_only_at_one_negative_pivot(monkeypatch):
     for d, e in calls:
         ev = scipy.linalg.eigvalsh_tridiagonal(d, e)
         assert np.count_nonzero(ev < 0.0) == 1
+
+
+def _stacked_with_one_indefinite(sizes, indefinite):
+    """Graded pencils L + M stacked with zero couplings at the joins, except
+    block ``indefinite``, which is L - M/4: at shift 0 its ground state,
+    the constant, gives the one negative eigenvalue.  A one-node block is
+    the 1 x 1 pencil (1, 1) or (-1/4, 1)."""
+    rng = np.random.default_rng(len(sizes))
+    diag, off, mass = [], [], []
+    for b, n in enumerate(sizes):
+        shift = -0.25 if b == indefinite else 1.0
+        if n == 1:
+            diag.append([shift])
+            off.append([0.0])
+            mass.append([1.0])
+            continue
+        w = np.exp(rng.normal(0.0, 1.0, n))
+        p = assemble(w, w * rng.uniform(0.5, 2.0, n),
+                     Grid.symmetric_grid(1.0, n), shift=shift)
+        diag.append(p.diag)
+        off.append(np.r_[p.off, 0.0])
+        mass.append(p.mass_diag)
+    mass = np.concatenate(mass)
+    return spectral.EigenProblem(None, np.concatenate(diag),
+                                 np.concatenate(off)[:-1], mass, mass)
+
+
+@pytest.mark.parametrize("sizes, indefinite", [
+    ((5, 7, 3), 0), ((5, 7, 3), 1), ((5, 7, 3), 2), ((5, 1, 3), 1),
+    ((1, 7, 1), 1)],
+    ids=["first", "middle", "last", "one-node", "one-node-neighbours"])
+def test_lu_covers_only_the_indefinite_block(monkeypatch, sizes, indefinite):
+    # the blocks around the negative pivot solve on the LDL^T factors; the
+    # pivoted LU sees only the block that holds it, and none of one node
+    prob = _stacked_with_one_indefinite(sizes, indefinite)
+    ev = scipy.linalg.eigvalsh(_scaled(_dense(prob), prob.mass_diag))
+    assert np.count_nonzero(ev < 0.0) == 1
+    assert np.min(np.abs(ev)) > 1e-3
+    lengths = []
+    dgttrf = spectral.dgttrf
+
+    def counted(dl, d, du):
+        lengths.append(len(d))
+        return dgttrf(dl, d, du)
+
+    monkeypatch.setattr(spectral, "dgttrf", counted)
+    solve, neg = prob._factor(0.0)
+    assert neg == 1
+    r = np.cos(np.arange(len(prob.diag)))
+    assert _backward_error(prob, 0.0, solve, r) <= 1e-14
+    size = sizes[indefinite]
+    assert lengths == ([size] if size > 1 else [])
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -654,14 +764,18 @@ def _constrained_reference(a2, mass2, c2):
                              subset_by_index=(0, 0))[0]
 
 
-def test_product_pencil_is_certified(monkeypatch):
+def _small_product_pencil():
     # two Gaussians and a non-constant theta, small enough for a dense
     # reference; tau off-centre, so that every x mode meets the constraint
     grid = Grid.symmetric_grid(5.0, 21)
     x = grid.nodes()
-    pencil, a2, mass2, c2, v0 = _product_pencil(
+    return _product_pencil(
         np.exp(-0.5 * x ** 2), np.exp(-0.5 * ((x - 0.8) / 1.3) ** 2),
         1.0 + 0.3 * np.cos(x), grid)
+
+
+def test_product_pencil_is_certified(monkeypatch):
+    pencil, a2, mass2, c2, v0 = _small_product_pencil()
     res = _shift_invert(pencil, v0)
     lam = res.value
     assert res.lower_bound <= lam <= res.lower_bound + 1e-9 * lam
@@ -693,16 +807,36 @@ def test_decoupling_refuses_a_non_congruence(monkeypatch):
         tensor_oracle_2d(*random_oracle_instance(np.random.default_rng(3)))
 
 
+@contextlib.contextmanager
+def _two_d_solves():
+    """The results of the solves inside the block whose pencil no single
+    grid carries: the oracle's 2-D solves."""
+    solves = []
+    shift_invert = spectral._shift_invert
+
+    def recorded(problem, y, start=None):
+        res = shift_invert(problem, y, start)
+        if problem.grid is None:
+            solves.append(res)
+        return res
+
+    with mock.patch.object(spectral, "_shift_invert", recorded):
+        yield solves
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        n=st.sampled_from(range(5, 26, 2)))
 def test_random_product_pencils(seed, n):
     nu, tau, theta, grid = random_oracle_instance(np.random.default_rng(seed),
                                                   n)
-    r = tensor_oracle_2d(nu, tau, theta, grid)
+    with _two_d_solves() as solves:
+        r = tensor_oracle_2d(nu, tau, theta, grid)
     expect = min(r.p1.value, r.p2.value)
     assert abs(r.lambda_2d - expect) <= 1e-9 * expect
     assert r.residual <= 1e-10
+    # started from the 1-D brackets, the 2-D count passes at once
+    assert [res.factorizations for res in solves] == [1]
     # the certified bracket of the pencil the oracle solves contains the
     # dense reference
     grid, nu, tau, theta = _crop_support(nu, grid, tau, theta)
@@ -738,7 +872,9 @@ def _random_instance(gen_seed, draw, n):
                        ((900, 97, 101), True))),
 ])
 def test_tensor_oracle_matches_1d_conditions(instance, holds):
-    r = tensor_oracle_2d(*instance())
+    with _two_d_solves() as solves:
+        r = tensor_oracle_2d(*instance())
+    assert [res.factorizations for res in solves] == [1]
     assert r.agrees
     assert (min(r.p1.value, r.p2.value) >= 0.99) == holds
     # fast diagonalization in the tau factor splits the 2-D pencil into the
@@ -746,6 +882,54 @@ def test_tensor_oracle_matches_1d_conditions(instance, holds):
     # grid lambda_2D = min(P1, P2) exactly
     expect = min(r.p1.value, r.p2.value)
     assert abs(r.lambda_2d - expect) <= 1e-9 * expect
+
+
+def test_near_tie_takes_one_factorization():
+    # P1 and P2 0.8% apart: a cold start spent 13 factorizations here, 8 of
+    # them on overshoot, and reached lambda_2D = 0.7044267873075059
+    with _two_d_solves() as solves:
+        r = tensor_oracle_2d(*_random_instance(901, 61, 151))
+    assert [res.factorizations for res in solves] == [1]
+    assert abs(r.lambda_2d - 0.7044267873075059) <= 1e-13 * r.lambda_2d
+
+
+def test_oracle_falls_back_from_a_wrong_bracket(monkeypatch):
+    # the start only saves work: with P1's bracket 1.5x too high the start
+    # lies above lambda_2D, fails the 2-D count, and the cold solve runs
+    inst = _random_instance(900, 37, 101)
+    ref = tensor_oracle_2d(*inst)
+    assert ref.p1.value < ref.p2.value
+    check = spectral.check_P1
+
+    def too_high(nu, theta, grid):
+        res = check(nu, theta, grid)
+        return dataclasses.replace(res, lower_bound=1.5 * res.lower_bound)
+
+    factor = spectral.EigenProblem._factor
+    shifts = []
+
+    def counted(self, sigma):
+        factored = factor(self, sigma)
+        if self.grid is None:
+            shifts.append((sigma, factored is not None))
+        return factored
+
+    monkeypatch.setattr(spectral, "check_P1", too_high)
+    monkeypatch.setattr(spectral.EigenProblem, "_factor", counted)
+    r = tensor_oracle_2d(*inst)
+    assert abs(r.lambda_2d - ref.lambda_2d) <= 1e-13 * ref.lambda_2d
+    start = min(1.5 * ref.p1.lower_bound, ref.p2.lower_bound)
+    first, *rest = shifts
+    assert first == (start, False)
+    # the rest is the cold solve of the same pencil, shift for shift
+    grid, nu, tau, theta = _crop_support(inst[0], inst[3], inst[1], inst[2])
+    grid, tau, nu, theta = _crop_support(tau, grid, nu, theta)
+    pencil, *_, v0 = _product_pencil(nu, tau, theta, grid)
+    shifts.clear()
+    cold = _shift_invert(pencil, v0)
+    assert rest == shifts
+    assert len(shifts) == cold.factorizations > 1
+    assert shifts[0] == (spectral._start_shift(pencil), True)
 
 
 def test_tensor_oracle_budget():
