@@ -24,7 +24,8 @@ from .halfspace import (
 from .isoprofile import clt_upper_bound, profile_1d, profile_envelope
 from .measures import BumpFunction, MeasureSpec
 from .perturb import design_bump, finite_diff_validate, perturbation_slopes
-from .spectral import GapOptions, random_oracle_instance, spectral_gap, tensor_oracle_2d
+from .spectral import DEFAULT_SOLVER_MARGIN, GapOptions, spectral_gap
+from .spectral import random_oracle_instance, tensor_oracle_2d
 
 _USAGE_EXIT = 64
 
@@ -40,6 +41,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse default exits 2
         self.print_usage(sys.stderr)
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {text}")
+        return value
+    return integer
 
 
 def _parse_halfspace(text: str, dim: int) -> HalfSpace:
@@ -101,9 +112,9 @@ def _add_common(p: argparse.ArgumentParser, measure: bool = True) -> None:
 
 
 def _add_gap_options(p: argparse.ArgumentParser) -> None:
-    """The flags read into GapOptions."""
-    p.add_argument("--grid-n", type=int, default=4001, dest="grid_n")
-    p.add_argument("--tail-mass", type=float, default=1e-12, dest="tail_mass")
+    """The flags read into GapOptions, with its defaults."""
+    p.add_argument("--grid-n", type=int, default=GapOptions.n)
+    p.add_argument("--tail-mass", type=float, default=GapOptions.tail_mass)
 
 
 def _gap_options(args: argparse.Namespace) -> GapOptions:
@@ -268,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stationary", help="classify half-space stationarity")
     _add_common(p)
     p.add_argument("--halfspace", required=True)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_int_at_least(1), default=2)
     p.set_defaults(func=_cmd_stationary)
 
     p = sub.add_parser("stable", help="half-space stability verdict")
     _add_common(p)
     _add_gap_options(p)
-    p.add_argument("--solver-margin", type=float, default=0.01,
-                   dest="solver_margin")
+    p.add_argument("--solver-margin", type=float,
+                   default=DEFAULT_SOLVER_MARGIN)
     p.add_argument("--halfspace", required=True)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_int_at_least(1), default=2)
     p.set_defaults(func=_cmd_stable)
 
     p = sub.add_parser("profile", help="1-D isoperimetric profile value")
@@ -288,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("envelope", help="profile bounds over a level grid")
     _add_common(p)
     _add_gap_options(p)
-    p.add_argument("--grid-t", type=int, default=101, dest="grid_t")
+    p.add_argument("--grid-t", type=_int_at_least(1), default=101)
     p.add_argument("--n-max", type=int, default=0, dest="n_max",
                    help="optional CLT trace length")
     p.set_defaults(func=_cmd_envelope)
@@ -319,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="randomized 2-D tensorization checks")
     _add_common(p, measure=False)
     p.add_argument("--grid-n", type=int, default=101, dest="grid_n")
-    p.add_argument("--count", type=int, default=25)
+    p.add_argument("--count", type=_int_at_least(0), default=25)
     p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(func=_cmd_tensor_oracle)
 

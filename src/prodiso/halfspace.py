@@ -25,11 +25,14 @@ from .measures import STRICTLY_LOG_CONCAVE, MeasureSpec
 from .numerics import Grid, TabulatedDensity, _convolve
 from .spectral import (
     DEFAULT_SOLVER_MARGIN,
+    STABLE,
     GapOptions,
+    _verdict,
     check_P1,
     check_P2,
     spectral_gap,
 )
+from .spectral import INCONCLUSIVE, UNSTABLE  # noqa: F401 - re-exported
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _STATIONARY_SAMPLES = 1000   # quasi-uniform points per psi'' identity
@@ -45,10 +48,6 @@ GAUSSIAN_ALL = "gaussian_all"
 PERIODIC_MINUS = "periodic_minus"
 SYMMETRIC_PLUS = "symmetric_plus"
 NOT_STATIONARY = "not_stationary"
-
-STABLE = "stable"
-UNSTABLE = "unstable"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,6 @@ def classify_stationary(measures: list[MeasureSpec],
     if hs.dim < 2:
         raise DimensionMismatch("need ambient dimension >= 2")
     active = hs.nonzero
-    if len(active) == 0:
-        raise DomainError("direction has no nonzero component")
     if len(active) == 1:
         i = active[0]
         return StationarityVerdict(COORDINATE, 0.0,
@@ -260,18 +257,14 @@ def coordinate_stability(m: MeasureSpec, t: float,
                          gap_options: GapOptions | None = None) -> StabilityVerdict:
     """Stability of {x_i < t}: holds iff -psi''(t) <= spectral gap."""
     lam = spectral_gap(m, gap_options)
-    margin = lam + m.log_density(t)[2]
-    certs = {"lambda": lam, "psi_second_at_t": m.log_density(t)[2],
-             "margin": margin}
+    psi2 = m.log_density(t)[2]
+    certs = {"lambda": lam, "psi_second_at_t": psi2, "margin": lam + psi2}
+    tag = _verdict((lam + psi2,), solver_margin, threshold=0.0)
     if m.kind == "gaussian":
         # exact threshold case: every half-space of a Gaussian is stable
         certs["note"] = "stable at threshold (Gaussian)"
-        return StabilityVerdict(STABLE, certs)
-    if margin >= solver_margin:
-        return StabilityVerdict(STABLE, certs)
-    if margin <= -solver_margin:
-        return StabilityVerdict(UNSTABLE, certs)
-    return StabilityVerdict(INCONCLUSIVE, certs)
+        tag = STABLE
+    return StabilityVerdict(tag, certs)
 
 
 def coordinate_stable_region(m: MeasureSpec,
@@ -382,12 +375,7 @@ def noncoordinate_stability(m: MeasureSpec, alpha: int, tau: float,
         certs.update(p2_infimum=p2.value, p2_lower_bound=p2.lower_bound,
                      p2_residual=p2.residual)
         checks.append(p2.value)
-
-    if any(v <= 1.0 - solver_margin for v in checks):
-        return StabilityVerdict(UNSTABLE, certs)
-    if all(v >= 1.0 + solver_margin for v in checks):
-        return StabilityVerdict(STABLE, certs)
-    return StabilityVerdict(INCONCLUSIVE, certs)
+    return StabilityVerdict(_verdict(checks, solver_margin), certs)
 
 
 def projection_density(measures: list[MeasureSpec],

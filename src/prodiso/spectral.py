@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
-# bound only for bench/tracer.py to wrap, until ROADMAP item 5 retires both
+# bound only for bench/tracer.py to wrap, until ROADMAP item 7 retires both
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import (
@@ -46,7 +46,21 @@ from .errors import (
 from .numerics import Grid, integrate
 
 DEFAULT_SOLVER_MARGIN = 0.01
+STABLE = "stable"
+UNSTABLE = "unstable"
+INCONCLUSIVE = "inconclusive"
 _THETA_ZERO_MASS = 1e-14    # int theta nu against max|theta| int nu
+
+
+def _verdict(values, margin: float, threshold: float = 1.0) -> str:
+    """The stability tag of eigenvalues against threshold +- margin."""
+    if not 0.0 < margin < math.inf:
+        raise DomainError(f"solver margin must be in (0, inf), got {margin}")
+    if any(v <= threshold - margin for v in values):
+        return UNSTABLE
+    if all(v >= threshold + margin for v in values):
+        return STABLE
+    return INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +142,10 @@ class EigenProblem:
             return None
         n = len(diag)
         if k + 1 < n:
-            # the pass stopped before touching d[k + 1:] and e[k + 1:],
-            # which still hold diag and so there
-            d[k + 1] -= so[k] * so[k] / pivot
+            # d[k + 1:] and e[k + 1:] still hold diag and so; a subnormal
+            # pivot makes this entry +inf, which still counts as positive
+            with np.errstate(over="ignore"):
+                d[k + 1] -= so[k] * so[k] / pivot
             if k + 2 == n:    # dpttrf takes no empty off-diagonal
                 if not d[k + 1] > 0.0:
                     return None
@@ -691,11 +706,10 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
     lam2d = float(np.sum(u * au) / np.sum(u * mass_u))
     residual = _residual(au.ravel(), lam2d, mass_u.ravel(), c2.ravel())
 
+    values = (p1.value, p2.value)
     verdict_2d = lam2d >= 1.0
-    verdict_1d = min(p1.value, p2.value) >= 1.0 - DEFAULT_SOLVER_MARGIN
-    near = (abs(lam2d - 1.0) <= _ORACLE_NEAR
-            or abs(p1.value - 1.0) <= _ORACLE_NEAR
-            or abs(p2.value - 1.0) <= _ORACLE_NEAR)
+    verdict_1d = _verdict(values, DEFAULT_SOLVER_MARGIN) != UNSTABLE
+    near = any(abs(v - 1.0) <= _ORACLE_NEAR for v in (lam2d, *values))
     agrees = verdict_2d == verdict_1d or near
     return TensorOracleResult(
         lam2d, bool(agrees), p1, p2, lambda_tau,

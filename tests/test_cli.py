@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from prodiso.cli import main
+from prodiso.cli import build_parser, main
+from prodiso.spectral import DEFAULT_SOLVER_MARGIN, GapOptions
 
 
 def run(capsys, *argv):
@@ -166,6 +167,41 @@ def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stable", "--measure", "logistic"])   # missing --halfspace
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--grid-t", "0"],      # no level to report
+    ["envelope", "--grid-t", "x"],
+    ["tensor-oracle", "--count", "-2"],
+    ["stable", "--dim", "0", "--halfspace", "coordinate"],   # no axis
+    ["stationary", "--dim", "-1", "--halfspace", "coordinate"],
+])
+def test_out_of_range_integers_exit_64(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    for argv in (["spectral-gap"], ["envelope"],
+                 ["stable", "--halfspace", "coordinate"]):
+        args = parser.parse_args(argv)
+        assert GapOptions(args.tail_mass, args.grid_n) == GapOptions()
+    assert args.solver_margin == DEFAULT_SOLVER_MARGIN
+
+
+@pytest.mark.parametrize("margin, halfspace", [
+    ("0", "coordinate:0.5"), ("-1", "coordinate:0.5"),
+    ("nan", "coordinate:0.5"), ("-1", "bisector"),
+])
+def test_solver_margin_must_be_positive(margin, halfspace, capsys):
+    # outside (0, inf) the guard bands overlap or vanish: no verdict
+    code, out, err = run(capsys, "stable", "--measure", "logistic",
+                         "--halfspace", halfspace, "--solver-margin", margin)
+    assert (code, out) == (1, "")
+    assert "DomainError" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,6 +35,7 @@ from prodiso.halfspace import (
 )
 from prodiso.measures import BumpFunction, MeasureSpec
 from prodiso.numerics import Grid
+from prodiso.spectral import DEFAULT_SOLVER_MARGIN, _verdict
 
 LOGISTIC = MeasureSpec.logistic()
 GAUSSIAN = MeasureSpec.gaussian(1.0)
@@ -109,6 +110,61 @@ def test_coordinate_stability_logistic():
     # -psi''(0) = 1/2 > 1/4 = gap: the symmetric half-line is unstable
     assert coordinate_stability(LOGISTIC, 0.0).tag == UNSTABLE
     assert coordinate_stability(LOGISTIC, 3.0).tag == STABLE
+
+
+M = DEFAULT_SOLVER_MARGIN
+
+
+def _below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _above(x):
+    return math.nextafter(x, math.inf)
+
+
+@pytest.mark.parametrize("values, threshold, tag", [
+    # coordinate inputs: lambda + psi''(t) against 0, where 0 +- m is exact
+    ((M,), 0.0, STABLE),
+    ((_above(M),), 0.0, STABLE),
+    ((_below(M),), 0.0, INCONCLUSIVE),
+    ((0.0,), 0.0, INCONCLUSIVE),
+    ((_above(-M),), 0.0, INCONCLUSIVE),
+    ((-M,), 0.0, UNSTABLE),
+    ((_below(-M),), 0.0, UNSTABLE),
+    # one weighted Poincare value against 1
+    ((1.0 + M,), 1.0, STABLE),
+    ((_below(1.0 + M),), 1.0, INCONCLUSIVE),
+    ((_above(1.0 - M),), 1.0, INCONCLUSIVE),
+    ((1.0 - M,), 1.0, UNSTABLE),
+    ((math.inf,), 1.0, STABLE),
+    # two values: one low value decides, stable needs both high
+    ((1.0 + M, 1.0 - M), 1.0, UNSTABLE),
+    ((math.inf, 1.0 - M), 1.0, UNSTABLE),
+    ((1.0 + M, _below(1.0 + M)), 1.0, INCONCLUSIVE),
+    ((1.0 + M, 2.0), 1.0, STABLE),
+])
+def test_verdict_bands(values, threshold, tag):
+    assert _verdict(values, M, threshold) == tag
+
+
+@pytest.mark.parametrize("margin", [0.0, -1.0, -0.01, math.nan, math.inf])
+def test_verdict_rejects_a_margin_outside_zero_inf(margin):
+    with pytest.raises(DomainError):
+        _verdict((1.0,), margin)
+    # the Gaussian's threshold case does not skip the check
+    with pytest.raises(DomainError):
+        coordinate_stability(GAUSSIAN, 0.0, margin)
+
+
+def test_coordinate_tag_at_the_margin():
+    # a solver margin equal to |lambda + psi''(t)| puts the value on the
+    # band's edge, which belongs to the verdict; one ulp more is a tie
+    for t, tag in ((0.5, UNSTABLE), (3.0, STABLE)):
+        edge = abs(coordinate_stability(LOGISTIC, t).certificates["margin"])
+        assert coordinate_stability(LOGISTIC, t, edge).tag == tag
+        assert coordinate_stability(LOGISTIC, t, _above(edge)).tag \
+            == INCONCLUSIVE
 
 
 def test_coordinate_stability_gaussian_threshold():
