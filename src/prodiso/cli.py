@@ -21,7 +21,12 @@ from .halfspace import (
     coordinate_stability,
     noncoordinate_stability,
 )
-from .isoprofile import clt_upper_bound, profile_1d, profile_envelope
+from .isoprofile import (
+    clt_upper_bound,
+    profile_1d,
+    profile_envelope,
+    tensor_lower_bound,
+)
 from .measures import BumpFunction, MeasureSpec
 from .perturb import design_bump, finite_diff_validate, perturbation_slopes
 from .spectral import DEFAULT_SOLVER_MARGIN, GapOptions, spectral_gap
@@ -177,8 +182,9 @@ def _cmd_profile(args) -> int:
 def _cmd_envelope(args) -> int:
     m = _measure(args)
     ts = np.linspace(0.0, 1.0, args.grid_t)
-    pb = profile_envelope(m, ts, _gap_options(args), clt_n_max=args.n_max)
-    mid = pb.lower[args.grid_t // 2]
+    opts = _gap_options(args)
+    pb = profile_envelope(m, ts, opts, clt_n_max=args.n_max)
+    mid = tensor_lower_bound(m, 0.5, opts)
     artifact = {
         "measure": m.label,
         "t": [float(v) for v in pb.ts],

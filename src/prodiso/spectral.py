@@ -17,6 +17,9 @@ zero couplings the same pass goes through; its solve starts from the
 lower ends of the 1-D brackets of P1 and P2, which its own count checks.
 The spectral gap is the same solver's mean-constrained eigenvalue, so it
 carries the same certificate, and is memoized per (measure, options).
+Each of its meshes after the first starts from a coarser mesh's
+eigenvector, which changes the work and never the certificate, and every
+mesh weights by the unnormalized density, to which the quotient is blind.
 
 Also hosts the weighted-tensorization condition checks, whose values and
 zero-mass test do not change when the boundary density is scaled, a
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -413,16 +416,42 @@ class GapOptions:
     b: float | None = None
 
 
-def _gap_single(m, b: float, n: int) -> float:
+def _gap_single(m, b: float, n: int,
+                coarse: tuple[float, EigenResult] | None = None
+                ) -> EigenResult:
+    """The gap's pencil on ``Grid.symmetric_grid(b, n)``, solved.
+
+    The solve starts from the coordinate, or, given ``coarse`` = (b', r)
+    from an earlier mesh on [-b', b'], from r's eigenvector interpolated
+    onto this mesh's nodes.  The start vector changes only the work: the
+    value still comes from a shift that passed the inertia count.  The
+    returned eigenvector spans the whole grid, held at its end values where
+    the crop dropped the tails, so that a later mesh can start from it.
+    """
     grid = Grid.symmetric_grid(b, n)
-    w = m.density(grid.nodes())
+    x = grid.nodes()
+    # the gap is a Rayleigh quotient with w in both forms, so w need not be
+    # normalized: the raw density scaled to peak 1 skips the normalizing
+    # quadrature of the kinds without a closed-form mass
+    psi = m._raw_psi(x)[0]
+    w = np.exp(psi - np.max(psi))
     # drop only the tails where the density underflows outright, so that the
     # grid keeps spanning the b and 2b the Richardson model assumes; the
     # solver's equilibrated factor takes any representable dynamic range
-    grid, w = _crop_support(w, grid, floor=1e-290)
+    sub, w = _crop_support(w, grid, floor=1e-290)
+    y = sub.nodes()
+    if coarse is not None:
+        b0, r0 = coarse
+        y = np.interp(y, Grid.symmetric_grid(b0, r0.eigenvector.size).nodes(),
+                      r0.eigenvector)
     # with mass = stiffness weight the mean constraint removes exactly the
     # constant null mode, so the constrained minimum is the gap
-    return solve_smallest(assemble(w, w, grid, constraint_weight=w)).value
+    res = _shift_invert(assemble(w, w, sub, constraint_weight=w), y)
+    if sub is grid:
+        return res
+    lo = int(np.searchsorted(x, sub.a))
+    return replace(res, eigenvector=np.pad(
+        res.eigenvector, (lo, n - lo - sub.n), mode="edge"))
 
 
 _GAP_MEMO_SIZE = 128    # (measure, options) pairs whose gaps are kept
@@ -434,7 +463,10 @@ def spectral_gap(m, opts: GapOptions | None = None) -> float:
     Solved on the truncated line; Richardson-extrapolated in the mesh size
     and in the truncation length.  The latter matters for measures whose
     continuous spectrum starts at the gap (exponential-type tails), where
-    the truncated eigenvalue converges only like 1/b^2.
+    the truncated eigenvalue converges only like 1/b^2.  Of the four meshes
+    this takes, (b, n), (b, 2n - 1), (2b, 2n - 1) and (2b, 4n - 3), each
+    after the first starts from a coarser one's eigenvector; the weight is
+    the density up to a constant, so no measure is normalized for its gap.
 
     The gap depends on the measure and the options alone, so it is
     memoized per (measure, options) pair: equal pairs share one entry, and
@@ -455,15 +487,29 @@ def spectral_gap(m, opts: GapOptions | None = None) -> float:
 @functools.lru_cache(maxsize=_GAP_MEMO_SIZE)
 def _spectral_gap(m, opts: GapOptions) -> float:
     b = opts.b if opts.b is not None else m.truncation_interval(opts.tail_mass)[1]
-    n = opts.n
-    lam_h = _gap_single(m, b, n)
-    lam_h2 = _gap_single(m, b, 2 * n - 1)
-    lam_b = lam_h2 + (lam_h2 - lam_h) / 3.0
-    lam2_h = _gap_single(m, 2 * b, 2 * n - 1)
-    lam2_h2 = _gap_single(m, 2 * b, 4 * n - 3)
-    lam_2b = lam2_h2 + (lam2_h2 - lam2_h) / 3.0
+    lam_b, lam_2b = _truncated_gaps(m, b, opts.n)
     # model gap(b) = L + A/b^2
     return (4.0 * lam_2b - lam_b) / 3.0
+
+
+def _truncated_gaps(m, b: float, n: int) -> tuple[float, float]:
+    """The gaps truncated at b and at 2b, each Richardson-extrapolated in
+    the mesh size from n and 2n - 1 nodes over [-b, b] (the same spacing and
+    the same halving over [-2b, 2b]).
+
+    Each mesh after the first starts from a coarser mesh's eigenvector
+    (nested iteration; Bornemann and Deuflhard, Numer. Math. 75, 1996).
+    (b, 2n - 1) and (2b, 2n - 1) start from (b, n): the first keeps every
+    other node, the second the spacing and [-b, b] nested in it, and
+    (2b, 4n - 3) starts from (2b, 2n - 1).
+    """
+    r_h = _gap_single(m, b, n)
+    r_h2 = _gap_single(m, b, 2 * n - 1, (b, r_h))
+    r2_h = _gap_single(m, 2 * b, 2 * n - 1, (b, r_h))
+    r2_h2 = _gap_single(m, 2 * b, 4 * n - 3, (2 * b, r2_h))
+    lam_b = r_h2.value + (r_h2.value - r_h.value) / 3.0
+    lam_2b = r2_h2.value + (r2_h2.value - r2_h.value) / 3.0
+    return lam_b, lam_2b
 
 
 # ---------------------------------------------------------------------------

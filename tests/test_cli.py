@@ -5,6 +5,8 @@ import json
 import pytest
 
 from prodiso.cli import build_parser, main
+from prodiso.isoprofile import tensor_lower_bound
+from prodiso.measures import MeasureSpec
 from prodiso.spectral import DEFAULT_SOLVER_MARGIN, GapOptions
 
 
@@ -124,6 +126,16 @@ def test_envelope_deterministic(tmp_path, capsys):
                          "--grid-t", "7", "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("grid_t", ["2", "4", "101"])
+def test_envelope_reports_the_level_one_half(grid_t, capsys):
+    # an even level count has no node at t = 1/2
+    code, out, _ = run(capsys, "envelope", "--measure", "logistic",
+                       "--grid-t", grid_t)
+    assert code == 0
+    mid = tensor_lower_bound(MeasureSpec.logistic(), 0.5)
+    assert out.strip() == f"envelope levels={grid_t} lower(1/2)={mid:.6f}"
 
 
 def test_clt(tmp_path, capsys):

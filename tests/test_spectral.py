@@ -12,6 +12,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from prodiso import spectral
 from prodiso.errors import (
@@ -86,7 +87,7 @@ def test_truncation_extrapolation_model():
     # at fixed truncation b the logistic eigenvalue sits near 1/4 + (pi/2b)^2
     m = MeasureSpec.logistic()
     for b in (20.0, 40.0):
-        lam_b = _gap_single(m, b, 4001)
+        lam_b = _gap_single(m, b, 4001).value
         model = 0.25 + (math.pi / (2 * b)) ** 2
         assert abs(lam_b - model) < 2e-5
 
@@ -94,8 +95,28 @@ def test_truncation_extrapolation_model():
 def test_mesh_convergence_monotone():
     m = MeasureSpec.logistic()
     limit = 0.25 + (math.pi / 80.0) ** 2
-    errs = [abs(_gap_single(m, 40.0, n) - limit) for n in (501, 1001, 2001)]
+    errs = [abs(_gap_single(m, 40.0, n).value - limit)
+            for n in (501, 1001, 2001)]
     assert errs[0] > errs[1] > errs[2]
+
+
+def _exponential_truncated_gap(b):
+    # on [-b, b] the two-sided exponential's odd mode is e^{x/2} sin(kx) for
+    # x > 0, with eigenvalue 1/4 + k^2; Neumann u'(b) = 0 makes
+    # tan(kb) = -2k, whose first root lies in (pi/2b, pi/b)
+    k = brentq(lambda k: 0.5 * math.sin(k * b) + k * math.cos(k * b),
+               math.pi / (2.0 * b), math.pi / b, xtol=1e-300)
+    return 0.25 + k * k
+
+
+def test_truncated_gaps_match_the_exponential_closed_form():
+    # the mesh-extrapolated gaps at b and 2b, whose later meshes start from
+    # the earlier ones' eigenvectors, against the exact truncated gap
+    m = MeasureSpec.two_sided_exponential()
+    b = m.truncation_interval(1e-12)[1]
+    for lam, bb in zip(spectral._truncated_gaps(m, b, 4001), (b, 2.0 * b)):
+        exact = _exponential_truncated_gap(bb)
+        assert abs(lam - exact) <= 1e-11 * exact
 
 
 def test_gap_is_steady_under_a_one_ulp_truncation_change():
@@ -127,7 +148,7 @@ def test_small_gap_matches_tight_bisection():
         prob.diag * s * s, prob.off * s[:-1] * s[1:], select="i",
         select_range=(1, 1), eigvals_only=True, tol=1e-300)[0]
     assert 1e-4 < ref < 1e-3
-    assert abs(_gap_single(m, b, n) - ref) <= 2e-7 * ref
+    assert abs(_gap_single(m, b, n).value - ref) <= 2e-7 * ref
 
 
 def test_power_law_gap_in_remark_bracket():
@@ -183,6 +204,51 @@ def test_gap_memo_keys_on_options(monkeypatch):
     assert spectral._spectral_gap.cache_info().currsize == 3
 
 
+def _gap_and_solves(monkeypatch, m, warm):
+    """The uncached gap of m and the solves of its four meshes; unless
+    ``warm``, every mesh starts cold from the coordinate."""
+    solves = []
+
+    def single(m, b, n, coarse=None):
+        res = _gap_single(m, b, n, coarse if warm else None)
+        solves.append(res.solves)
+        return res
+
+    monkeypatch.setattr(spectral, "_gap_single", single)
+    return spectral._spectral_gap.__wrapped__(m, GapOptions()), sum(solves)
+
+
+_BUMP = design_bump()[0]
+
+
+@pytest.mark.parametrize("m", [
+    MeasureSpec.logistic(), MeasureSpec.two_sided_exponential(),
+    *(MeasureSpec.gaussian(s) for s in (0.5, 1.0, 2.0)),
+    *(MeasureSpec.power_law(p) for p in (2.0, 3.0, 4.0)),
+    *(MeasureSpec.gaussian_bump(e, _BUMP)
+      for e in (-0.03, -0.02, -0.01, 0.01, 0.02, 0.03)),
+], ids=lambda m: m.label)
+def test_warm_meshes_keep_the_cold_gap(monkeypatch, m):
+    warm, warm_solves = _gap_and_solves(monkeypatch, m, warm=True)
+    cold, cold_solves = _gap_and_solves(monkeypatch, m, warm=False)
+    assert abs(warm - cold) <= 1e-11 * cold
+    assert warm_solves <= cold_solves
+    if m.kind in ("logistic", "exponential"):
+        assert warm_solves <= 0.6 * cold_solves
+
+
+def test_warm_meshes_keep_the_double_well_gap(monkeypatch):
+    # its gap, about 3e-4, sits so far below |S| ~ 1e7 that the Rayleigh
+    # quotient's rounding leaves each mesh about 1e-8 off a tight bisection
+    # (test_small_gap_matches_tight_bisection allows 2e-7), warm or cold;
+    # its 2b meshes crop the tails, so one start is read on a cropped mesh
+    # and the next from one
+    m = MeasureSpec.custom(_double_well, symmetric=True)
+    warm, _ = _gap_and_solves(monkeypatch, m, warm=True)
+    cold, _ = _gap_and_solves(monkeypatch, m, warm=False)
+    assert abs(warm - cold) <= 2e-7 * cold
+
+
 class _UnhashablePotential:
     """A Gaussian potential that compares by value and so has no hash."""
 
@@ -214,7 +280,7 @@ def test_odd_parity_matches_gap():
     grid = Grid.symmetric_grid(8.0, 1601)
     w = m.density(grid.nodes())
     res = solve_smallest(assemble(w, w, grid, constraint_weight=w))
-    assert abs(res.value - _gap_single(m, 8.0, 1601)) < 1e-8
+    assert abs(res.value - _gap_single(m, 8.0, 1601).value) < 1e-8
     v = res.eigenvector
     assert np.max(np.abs(v + v[::-1])) < 1e-8
 
@@ -234,6 +300,24 @@ def test_certificate_recovers_from_even_start():
         assert res.lower_bound <= res.value
         v = res.eigenvector
         assert np.max(np.abs(v + v[::-1])) < 1e-8
+
+
+def test_certificate_does_not_depend_on_the_start_vector():
+    # started on the dense reference's second admissible eigenvector, with
+    # no part along the first but rounding, the count still refuses the
+    # second mode and the solver returns the smallest admissible eigenvalue
+    for seed in range(4):
+        nu, _, theta, grid = random_oracle_instance(
+            np.random.default_rng(seed), 41)
+        grid, nu, theta = _crop_support(nu, grid, theta)
+        prob = assemble(nu, theta * nu, grid, constraint_weight=nu)
+        q = scipy.linalg.null_space(prob.constraint[None, :])
+        lam, v = scipy.linalg.eigh(q.T @ _dense(prob) @ q,
+                                   q.T @ np.diag(prob.mass_diag) @ q,
+                                   subset_by_index=(0, 1))
+        res = _shift_invert(prob, q @ v[:, 1])
+        assert abs(res.value - lam[0]) <= 1e-12 * lam[0]
+        assert res.lower_bound <= res.value
 
 
 def test_failed_count_raises(monkeypatch):
