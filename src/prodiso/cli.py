@@ -22,6 +22,7 @@ from .halfspace import (
     noncoordinate_stability,
 )
 from .isoprofile import (
+    _CLT_N_MAX,
     clt_upper_bound,
     profile_1d,
     profile_envelope,
@@ -48,12 +49,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _int_in(low: int, high: float = math.inf):
+    """An argparse type: an integer in [low, high]."""
     def integer(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}: {text}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"must lie in {low}..{high}: {text}")
         return value
     return integer
 
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stationary", help="classify half-space stationarity")
     _add_common(p)
     p.add_argument("--halfspace", required=True)
-    p.add_argument("--dim", type=_int_at_least(1), default=2)
+    p.add_argument("--dim", type=_int_in(1), default=2)
     p.set_defaults(func=_cmd_stationary)
 
     p = sub.add_parser("stable", help="half-space stability verdict")
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver-margin", type=float,
                    default=DEFAULT_SOLVER_MARGIN)
     p.add_argument("--halfspace", required=True)
-    p.add_argument("--dim", type=_int_at_least(1), default=2)
+    p.add_argument("--dim", type=_int_in(1), default=2)
     p.set_defaults(func=_cmd_stable)
 
     p = sub.add_parser("profile", help="1-D isoperimetric profile value")
@@ -305,15 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("envelope", help="profile bounds over a level grid")
     _add_common(p)
     _add_gap_options(p)
-    p.add_argument("--grid-t", type=_int_at_least(1), default=101)
-    p.add_argument("--n-max", type=int, default=0, dest="n_max",
-                   help="optional CLT trace length")
+    p.add_argument("--grid-t", type=_int_in(1), default=101)
+    p.add_argument("--n-max", type=_int_in(0, _CLT_N_MAX), default=0,
+                   dest="n_max", help="optional CLT trace length")
     p.set_defaults(func=_cmd_envelope)
 
     p = sub.add_parser("clt", help="half-space upper bounds from sums")
     _add_common(p)
     p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--n-max", type=int, default=16, dest="n_max")
+    p.add_argument("--n-max", type=_int_in(1, _CLT_N_MAX), default=16,
+                   dest="n_max")
     p.set_defaults(func=_cmd_clt)
 
     p = sub.add_parser("perturb-slopes", help="analytic slopes of a bump")
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="randomized 2-D tensorization checks")
     _add_common(p, measure=False)
     p.add_argument("--grid-n", type=int, default=101, dest="grid_n")
-    p.add_argument("--count", type=_int_at_least(0), default=25)
+    p.add_argument("--count", type=_int_in(0), default=25)
     p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(func=_cmd_tensor_oracle)
 

@@ -1,9 +1,9 @@
 """Stationarity classification and stability verdicts for half-spaces.
 
 A half-space {x : <x, v> < t} of a product measure is stationary exactly
-when its weighted mean curvature is constant on the boundary hyperplane;
-for products this reduces to pointwise identities between the second
-log-derivatives of the factor measures.  Stability is decided through
+when its weighted mean curvature sum_i v_i psi_i'(x_i) is constant on the
+boundary hyperplane, the one rule tested here (its psi'' identities hold
+for smooth factors only).  Stability is decided through
 eigenvalue margins: the spectral-gap criterion for coordinate directions
 and the two weighted Poincare conditions for the two-equal-component
 directions.
@@ -35,10 +35,9 @@ from .spectral import (
 from .spectral import INCONCLUSIVE, UNSTABLE  # noqa: F401 - re-exported
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_STATIONARY_SAMPLES = 1000   # quasi-uniform points per psi'' identity
-_STATIONARY_TOL = 1e-8       # psi'' mismatch still counted as an identity
-_CURVATURE_SAMPLES = 200     # boundary points of mean_curvature_residual
-_CURVATURE_SEED = 3
+_CURVATURE_SAMPLES = 1000    # boundary points where H is sampled
+_CURVATURE_SEED = 3          # their generator, three or more components
+_CURVATURE_TOL = 1e-10       # H spread still constant, relative to rounding
 _REGION_SCAN = 4001          # levels scanned by coordinate_stable_region
 _PROJECTION_H = 0.005        # grid spacing of the projection densities
 
@@ -133,123 +132,99 @@ class StabilityVerdict:
         return {"tag": self.tag, "certificates": dict(self.certificates)}
 
 
-def _quasi_uniform(lo: float, hi: float, count: int) -> np.ndarray:
-    """Golden-ratio low-discrepancy points in (lo, hi), avoiding endpoints."""
-    k = np.arange(1, count + 1, dtype=float)
-    u = np.mod(k * _GOLDEN, 1.0)
-    return lo + (hi - lo) * u
+def _require_dim(measures: list[MeasureSpec], hs: HalfSpace) -> None:
+    if len(measures) != hs.dim:
+        raise DimensionMismatch(
+            f"{len(measures)} measures for a {hs.dim}-dimensional direction")
 
 
-def _psi2(m: MeasureSpec, x: np.ndarray) -> np.ndarray:
-    return m.log_density(x)[2]
+def _psi_derivatives(m: MeasureSpec, x) -> tuple[np.ndarray, np.ndarray]:
+    """(psi', psi''): the unnormalized psi has the same derivatives, so the
+    measure's mass is never computed."""
+    x = np.asarray(x, dtype=float)
+    m._require_differentiable(x)
+    return m._raw_psi(x)[1:]
+
+
+def _boundary_curvature(measures: list[MeasureSpec], hs: HalfSpace
+                        ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Boundary points (rows), H = sum_i v_i psi_i'(x_i) there, and the
+    tolerance on H's spread: ``_CURVATURE_TOL`` times the rounding scale
+    1 + max sum_i |v_i psi_i'|.  Free components span their 1e-10
+    truncation windows, quasi-uniformly for one and by a seeded draw for
+    several; the reference coordinate solves <x, v> = t.
+    """
+    active, j = hs.nonzero, hs.reference
+    free = [i for i in active if i != j]
+    if len(free) == 1:
+        u = [np.mod(np.arange(1, _CURVATURE_SAMPLES + 1) * _GOLDEN, 1.0)]
+    else:
+        u = np.random.default_rng(_CURVATURE_SEED).random(
+            (len(free), _CURVATURE_SAMPLES))
+    x = np.zeros((_CURVATURE_SAMPLES, hs.dim))
+    for i, ui in zip(free, u):
+        x[:, i] = measures[i].truncation_interval(1e-10)[1] * (2.0 * ui - 1.0)
+    x[:, j] = (hs.t - x @ np.asarray(hs.v)) / hs.v[j]
+    terms = np.array([hs.v[i] * _psi_derivatives(measures[i], x[:, i])[0]
+                      for i in active])
+    tol = _CURVATURE_TOL * (1.0 + float(np.max(np.sum(np.abs(terms), 0))))
+    return x, terms.sum(axis=0), tol
 
 
 def classify_stationary(measures: list[MeasureSpec],
                         hs: HalfSpace) -> StationarityVerdict:
-    """Decide whether the half-space has constant weighted mean curvature.
+    """Stationary iff the weighted mean curvature is constant on the boundary.
 
-    One active component: always stationary (coordinate case).  Two active
-    components i, j: stationary iff psi_i''(x) = psi_j''(tau - alpha x) on
-    the line; for identical measures with equal magnitudes this specializes
-    to periodicity (opposite signs) or symmetry about tau/2 (equal signs)
-    of psi''.  Three or more active components: stationary iff every active
-    factor is Gaussian with the same variance.  The identities are checked
-    at 1000 quasi-uniform points, to 1e-8 (relative to 1 + |psi''| where
-    psi'' must be constant).
+    ``residual`` is the spread of H = sum_i v_i psi_i'(x_i) over the points
+    of ``_boundary_curvature``; above its tolerance the half-space is
+    ``not_stationary``, which also catches kinks, where psi'' has a point
+    mass.  Otherwise: one active component is the coordinate case; two, i
+    free and j = ``HalfSpace.reference``, are matched (for smooth factors
+    psi_i''(x) = psi_j''(tau - alpha x)), and for one measure with
+    |alpha| = 1 periodic (alpha = -1) or symmetric about tau/2 (alpha = 1);
+    three or more are Gaussians of one variance.
     """
-    if len(measures) != hs.dim:
-        raise DimensionMismatch(
-            f"{len(measures)} measures for a {hs.dim}-dimensional direction")
+    _require_dim(measures, hs)
     if hs.dim < 2:
         raise DimensionMismatch("need ambient dimension >= 2")
     active = hs.nonzero
     if len(active) == 1:
-        i = active[0]
         return StationarityVerdict(COORDINATE, 0.0,
-                                   {"axis": i, "t": hs.t / hs.v[i]})
-
-    if len(active) == 2:
-        i, j = active
-        if abs(hs.v[i]) < abs(hs.v[j]):
-            i, j = j, i    # j, the larger component, is the reference
-        # boundary: x_j = tau - alpha * x_i with the identity below
-        alpha = hs.v[i] / hs.v[j]
-        tau = hs.t / hs.v[j]
-        mi, mj = measures[i], measures[j]
-        bi = mi.truncation_interval(1e-10)[1]
-        bj = mj.truncation_interval(1e-10)[1]
-        # sample where both arguments stay inside the truncation windows
-        ends = sorted(((tau - bj) / alpha, (tau + bj) / alpha))
-        lo, hi = max(-bi, ends[0]), min(bi, ends[1])
-        if not hi > lo:
-            lo, hi = -1.0, 1.0
-        s = _quasi_uniform(lo, hi, _STATIONARY_SAMPLES)
-        diff = np.abs(_psi2(mi, s) - _psi2(mj, tau - alpha * s))
-        resid = float(np.max(diff))
-        same = mi == mj
-        details = {"alpha": alpha, "tau": tau, "i": i, "j": j}
-        if resid <= _STATIONARY_TOL:
-            if same and abs(abs(alpha) - 1.0) <= 1e-12:
-                if alpha < 0:
-                    details["period"] = abs(tau)
-                    return StationarityVerdict(PERIODIC_MINUS, resid, details)
-                details["symmetry_center"] = tau / 2.0
-                return StationarityVerdict(SYMMETRIC_PLUS, resid, details)
-            return StationarityVerdict(TWO_COMPONENT_MATCHED, resid, details)
-        details["violating_sample"] = float(s[int(np.argmax(diff))])
+                                   {"axis": active[0], "t": hs.tau})
+    x, h, tol = _boundary_curvature(measures, hs)
+    resid = float(np.max(h) - np.min(h))
+    if len(active) > 2:
+        if resid > tol:
+            return StationarityVerdict(NOT_STATIONARY, resid)
+        return StationarityVerdict(GAUSSIAN_ALL, resid,
+                                   {"mean_curvature": float(np.mean(h))})
+    j = hs.reference
+    i = active[0] if active[1] == j else active[1]
+    alpha, tau = hs.alpha(i), hs.tau
+    details = {"alpha": alpha, "tau": tau, "i": i, "j": j}
+    if resid > tol:
+        k = int(np.argmax(np.abs(h - np.mean(h))))
+        details["violating_sample"] = float(x[k, i])
         return StationarityVerdict(NOT_STATIONARY, resid, details)
-
-    # three or more active components: all-Gaussian with equal variance
-    consts = []
-    dev_max = 0.0
-    for i in active:
-        b = measures[i].truncation_interval(1e-10)[1]
-        dd = _psi2(measures[i], _quasi_uniform(-b, b, _STATIONARY_SAMPLES))
-        mean = float(np.mean(dd))
-        dev = float(np.max(dd) - np.min(dd))
-        dev_max = max(dev_max, dev)
-        if not dev <= _STATIONARY_TOL * (1.0 + abs(mean)):
-            return StationarityVerdict(
-                NOT_STATIONARY, dev_max,
-                {"reason": "non-constant psi''", "axis": i})
-        consts.append(mean)
-    spread = max(consts) - min(consts)
-    if spread > _STATIONARY_TOL * (1.0 + abs(consts[0])):
-        return StationarityVerdict(
-            NOT_STATIONARY, float(spread),
-            {"reason": "unequal Gaussian variances", "values": consts})
-    return StationarityVerdict(GAUSSIAN_ALL, float(max(dev_max, spread)),
-                               {"psi_second": consts[0]})
+    if measures[i] != measures[j] or abs(abs(alpha) - 1.0) > 1e-12:
+        return StationarityVerdict(TWO_COMPONENT_MATCHED, resid, details)
+    if alpha < 0:
+        details["period"] = abs(tau)
+        return StationarityVerdict(PERIODIC_MINUS, resid, details)
+    details["symmetry_center"] = tau / 2.0
+    return StationarityVerdict(SYMMETRIC_PLUS, resid, details)
 
 
 def mean_curvature_residual(measures: list[MeasureSpec],
                             hs: HalfSpace) -> float:
-    """Spread (max - min) of the weighted mean curvature over boundary points.
-
-    Direct numeric cross-check of ``classify_stationary``: the residual is
-    zero (up to sampling noise) exactly for stationary half-spaces.
-    """
-    if len(measures) != hs.dim:
-        raise DimensionMismatch(
-            f"{len(measures)} measures for a {hs.dim}-dimensional direction")
-    active = hs.nonzero
-    if len(active) == 1:
+    """Spread of the weighted mean curvature over boundary points: the
+    ``residual`` of ``classify_stationary``, zero up to rounding exactly
+    for stationary half-spaces."""
+    _require_dim(measures, hs)
+    if len(hs.nonzero) == 1:
         return 0.0
-    j = hs.reference
-    rng = np.random.default_rng(_CURVATURE_SEED)
-    vals = np.empty(_CURVATURE_SAMPLES)
-    free = [i for i in active if i != j]
-    for k in range(_CURVATURE_SAMPLES):
-        x = np.zeros(hs.dim)
-        for i in free:
-            b = measures[i].truncation_interval(1e-6)[1]
-            x[i] = rng.uniform(-0.8 * b, 0.8 * b)
-        x[j] = (hs.t - sum(hs.v[i] * x[i] for i in free)) / hs.v[j]
-        h = 0.0
-        for i in active:
-            h += hs.v[i] * measures[i].log_density(x[i])[1]
-        vals[k] = h
-    return float(np.max(vals) - np.min(vals))
+    _, h, _ = _boundary_curvature(measures, hs)
+    return float(np.max(h) - np.min(h))
 
 
 def coordinate_stability(m: MeasureSpec, t: float,
@@ -257,7 +232,7 @@ def coordinate_stability(m: MeasureSpec, t: float,
                          gap_options: GapOptions | None = None) -> StabilityVerdict:
     """Stability of {x_i < t}: holds iff -psi''(t) <= spectral gap."""
     lam = spectral_gap(m, gap_options)
-    psi2 = m.log_density(t)[2]
+    psi2 = float(_psi_derivatives(m, t)[1])
     certs = {"lambda": lam, "psi_second_at_t": psi2, "margin": lam + psi2}
     tag = _verdict((lam + psi2,), solver_margin, threshold=0.0)
     if m.kind == "gaussian":
@@ -283,7 +258,7 @@ def coordinate_stable_region(m: MeasureSpec,
         ts = ts + 0.5 * (ts[1] - ts[0])     # dodge kinks at grid points
         ts = ts[ts < b]
     slack = 1e-8 * (1.0 + abs(lam))    # solver accuracy at the threshold
-    s = -_psi2(m, ts) - lam
+    s = -_psi_derivatives(m, ts)[1] - lam
     inside = s <= slack
     if not np.any(inside):
         return []
@@ -292,7 +267,7 @@ def coordinate_stable_region(m: MeasureSpec,
         # a is inside the region, c outside; bisect to the crossing
         for _ in range(80):
             mid = 0.5 * (a + c)
-            if (-m.log_density(mid)[2] - lam) <= slack:
+            if (-_psi_derivatives(m, mid)[1] - lam) <= slack:
                 a = mid
             else:
                 c = mid
@@ -358,7 +333,8 @@ def noncoordinate_stability(m: MeasureSpec, alpha: int, tau: float,
     b = m.truncation_interval(1e-12)[1]
     if m.log_concavity != STRICTLY_LOG_CONCAVE:
         # unknown flag (e.g. perturbed Gaussians): certify by sampling
-        if np.any(m.log_density(np.linspace(0.0, b, 2001))[2] >= 0.0):
+        psi2 = _psi_derivatives(m, np.linspace(0.0, b, 2001))[1]
+        if np.any(psi2 >= 0.0):
             raise HypothesisViolated("measure must be strictly log-concave")
 
     lam = spectral_gap(m, gap_options)
@@ -408,9 +384,7 @@ def boundary_measure(measures: list[MeasureSpec], hs: HalfSpace) -> float:
     coordinate directions use the factor density directly, the others
     invert the product spectrum at t itself (``numerics.Spectrum.inversion``).
     """
-    if len(measures) != hs.dim:
-        raise DimensionMismatch(
-            f"{len(measures)} measures for a {hs.dim}-dimensional direction")
+    _require_dim(measures, hs)
     active = hs.nonzero
     if len(active) == 1:
         i = active[0]

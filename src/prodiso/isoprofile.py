@@ -26,6 +26,7 @@ from .spectral import GapOptions, spectral_gap
 
 _CLT_H = 0.01          # sampling step of the kinds without a closed-form phi
 _NEWTON_TOL = 1e-15    # |F(y) - t| at which the quantile search stops
+_CLT_N_MAX = 128       # longest CLT trace
 
 
 def profile_1d(m: MeasureSpec, t: float) -> float:
@@ -104,8 +105,8 @@ def clt_upper_bound(m: MeasureSpec, t: float, n_max: int) -> list[float]:
     """
     if not 0.0 < t < 1.0:
         raise DomainError("quantile level must lie in (0, 1)")
-    if n_max < 1 or n_max > 128:
-        raise DomainError("n_max must lie in 1..128")
+    if n_max < 1 or n_max > _CLT_N_MAX:
+        raise DomainError(f"n_max must lie in 1..{_CLT_N_MAX}")
     vals = [float(m.density(m.quantile(t)))]
     if n_max == 1:
         return vals

@@ -36,6 +36,15 @@ def test_stationary(capsys):
     assert "periodic_minus" in out
 
 
+def test_stationary_sees_the_exponential_kink(capsys):
+    # psi' = -sign(x) jumps across the boundary line off its centre
+    code, out, _ = run(capsys, "stationary", "--measure", "exponential",
+                       "--halfspace", "bisector-:0.3")
+    assert code == 0
+    assert out.split()[:2] == ["stationary", "not_stationary"]
+    assert float(out.split("residual=")[1]) > 1.0
+
+
 def test_stable_verdicts_and_exit_codes(capsys):
     code, out, _ = run(capsys, "stable", "--measure", "logistic",
                        "--halfspace", "bisector", "--dim", "3")
@@ -193,6 +202,61 @@ def test_out_of_range_integers_exit_64(argv, capsys):
         main(argv)
     assert exc.value.code == 64
     assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--n-max", "-3"],
+    ["envelope", "--n-max", "129"],
+    ["clt", "--n-max", "0"],
+    ["clt", "--n-max", "129"],
+])
+def test_trace_lengths_outside_their_range_exit_64(argv, capsys):
+    # envelope reads 0 as "no trace"; both cap the trace at 128 sums
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert "argument --n-max" in capsys.readouterr().err
+
+
+def test_trace_length_bounds_are_inclusive():
+    parser = build_parser()
+    assert parser.parse_args(["envelope", "--n-max", "0"]).n_max == 0
+    assert parser.parse_args(["clt", "--n-max", "1"]).n_max == 1
+    assert parser.parse_args(["clt", "--n-max", "128"]).n_max == 128
+
+
+def test_stable_three_components_exit_1(capsys):
+    code, out, err = run(capsys, "stable", "--measure", "logistic",
+                         "--halfspace", "1,1,1;0", "--dim", "3")
+    assert (code, out) == (1, "")
+    assert "DomainError" in err
+
+
+def test_perturb_design_csv_lists_the_epsilons(tmp_path, capsys):
+    # a list-valued artifact entry is one quoted, ';'-joined row
+    path = tmp_path / "design.csv"
+    code, _, _ = run(capsys, "perturb-design", "--out", str(path),
+                     "--format", "csv")
+    assert code == 0
+    rows = dict(line.split(",", 1)
+                for line in path.read_text().splitlines())
+    assert rows["epsilons"] == '""'
+    assert rows["feasible"] == "True"
+    assert rows["bump.centers"] == "[1.0, 0.0]"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["perturb-slopes", "--bump", "notjson"], "Expecting value"),
+    (["spectral-gap", "--measure", "gaussian", "--out", "no/such/a.json"],
+     "No such file or directory"),
+])
+def test_bad_input_and_unwritable_out_exit_1(argv, message, tmp_path,
+                                             monkeypatch, capsys):
+    # a ValueError or OSError, not a library error, still exits 1
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and message in err
 
 
 def test_parser_defaults_are_the_library_defaults():

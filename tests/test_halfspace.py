@@ -23,7 +23,9 @@ from prodiso.halfspace import (
     PERIODIC_MINUS,
     STABLE,
     SYMMETRIC_PLUS,
+    TWO_COMPONENT_MATCHED,
     UNSTABLE,
+    _boundary_curvature,
     boundary_density,
     boundary_measure,
     classify_stationary,
@@ -35,6 +37,7 @@ from prodiso.halfspace import (
 )
 from prodiso.measures import BumpFunction, MeasureSpec
 from prodiso.numerics import Grid
+from prodiso.perturb import design_bump
 from prodiso.spectral import DEFAULT_SOLVER_MARGIN, _verdict
 
 LOGISTIC = MeasureSpec.logistic()
@@ -104,6 +107,75 @@ def test_mean_curvature_cross_check():
     r = mean_curvature_residual([LOGISTIC, LOGISTIC],
                                 HalfSpace.bisector(1, 0.8))
     assert r > 1e-3
+
+
+EXPONENTIAL = MeasureSpec.two_sided_exponential()
+
+
+@pytest.mark.parametrize("hs, tag", [
+    (HalfSpace.bisector(-1, 0.0), PERIODIC_MINUS),
+    (HalfSpace.bisector(1, 0.0), SYMMETRIC_PLUS),
+    (HalfSpace.bisector(-1, 0.3), NOT_STATIONARY),
+    (HalfSpace.bisector(1, 0.3), NOT_STATIONARY),
+    (HalfSpace((0.5, 1.0), 0.3), NOT_STATIONARY),
+    (HalfSpace((0.5, 1.0), 0.0), NOT_STATIONARY),
+    (HalfSpace((1.0, 1.0, 1.0), 0.0), NOT_STATIONARY),
+], ids=repr)
+def test_exponential_kink_is_seen(hs, tag):
+    # H = -sum_i v_i sign(x_i) is constant on the boundary only when
+    # t = 0 and |v_i| = |v_j|: psi'' = 0 off the kink, but psi' jumps
+    v = classify_stationary([EXPONENTIAL] * hs.dim, hs)
+    assert v.tag == tag
+    assert v.residual == mean_curvature_residual([EXPONENTIAL] * hs.dim, hs)
+    assert (v.residual > 0.5) == (tag == NOT_STATIONARY)
+
+
+@pytest.mark.parametrize("measures, hs", [
+    ([LOGISTIC, POWER4], HalfSpace((0.5, 1.0), 0.3)),
+    ([LOGISTIC, GAUSSIAN, POWER4], HalfSpace((0.6, -0.8, 0.1), 0.4)),
+], ids=["two", "three"])
+def test_boundary_curvature_matches_a_pointwise_sum(measures, hs):
+    # the sampled points lie on <x, v> = t, and H is the sum, point by
+    # point, of v_i psi_i'(x_i) read through the normalized log-density
+    x, h, _ = _boundary_curvature(measures, hs)
+    assert np.max(np.abs(x @ np.asarray(hs.v) - hs.t)) <= 1e-12
+    for row, hk in zip(x[::50], h[::50]):
+        ref = sum(vi * m.log_density(xi)[1]
+                  for vi, m, xi in zip(hs.v, measures, row))
+        assert abs(hk - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+def test_two_component_details_follow_the_reference():
+    # j is the larger component, and tau the offset stability reads
+    hs = HalfSpace((0.5, 1.0), 0.3)
+    v = classify_stationary([LOGISTIC, LOGISTIC], hs)
+    assert v.tag == NOT_STATIONARY
+    assert (v.details["i"], v.details["j"]) == (0, hs.reference) == (0, 1)
+    assert v.details["tau"] == hs.tau
+    assert v.details["alpha"] == hs.alpha(0)
+    assert abs(v.details["alpha"] - 0.5) <= 1e-15
+    assert abs(v.details["violating_sample"]) < 40.0
+    g = classify_stationary([GAUSSIAN, GAUSSIAN], hs)
+    assert g.tag == TWO_COMPONENT_MATCHED and g.details["tau"] == hs.tau
+
+
+def test_derivative_readers_never_normalize():
+    # psi' and psi'' do not depend on the mass: no call below may run the
+    # bumped Gaussian's normalizing quadrature, and the values are those
+    # of the normalized reader
+    bump = design_bump()[0]
+    m = MeasureSpec.gaussian_bump(0.02, bump)
+    coord = coordinate_stability(m, 0.5)
+    region = coordinate_stable_region(m)
+    noncoordinate_stability(m, -1, 0.0, 3, n=1001)
+    classify_stationary([m, m], HalfSpace.bisector(1, 0.3))
+    mean_curvature_residual([m] * 3, HalfSpace((0.6, -0.8, 0.1), 0.4))
+    assert "_log_norm" not in m.__dict__
+    ref = MeasureSpec.gaussian_bump(0.02, bump)
+    psi2 = ref.log_density(0.5)[2]
+    assert coord.certificates["psi_second_at_t"] == psi2
+    assert coord.certificates["margin"] == coord.certificates["lambda"] + psi2
+    assert region and "_log_norm" in ref.__dict__
 
 
 def test_coordinate_stability_logistic():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodiso import perturb
 from prodiso.errors import HypothesisViolated, NonEvenBump
 from prodiso.measures import BumpFunction
 from prodiso.numerics import integrate
@@ -131,6 +132,23 @@ def test_finite_diff_richardson_any_ratio():
     assert report.epsilons == (0.01, -0.01, 0.03, -0.03)
     for fd, an in zip(report.fd_slopes, report.slopes):
         assert abs(fd - an) / abs(an) <= 2e-3
+
+
+def test_finite_diff_evaluates_only_the_two_smallest_magnitudes(monkeypatch):
+    # a third magnitude would not enter the Richardson combination
+    bump, _ = design_bump()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return eigen_curves(*args)
+
+    monkeypatch.setattr(perturb, "eigen_curves", counted)
+    report = finite_diff_validate(bump, (0.03, 0.01, -0.02))
+    assert sorted(calls) == [-0.02, -0.01, 0.0, 0.01, 0.02]
+    assert report.epsilons == (0.01, -0.01, 0.02, -0.02)
+    pair = finite_diff_validate(bump, (0.01, 0.02))
+    assert report.fd_slopes == pair.fd_slopes
 
 
 def test_finite_diff_single_atom():

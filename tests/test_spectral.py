@@ -134,6 +134,17 @@ def _double_well(x):
     return x ** 4 / 4.0 - 3.0 * x ** 2, x ** 3 - 6.0 * x, 3.0 * x ** 2 - 6.0
 
 
+def test_crop_keeps_an_odd_count_at_the_last_node():
+    # the kept window (nodes 7..10) reaches the last node with an even
+    # count, so it grows by one node to the left
+    grid = Grid(0.0, 10.0, 11)
+    nu = np.array([0.0] * 7 + [1.0] * 4)
+    sub, w, x = _crop_support(nu, grid, grid.nodes())
+    assert (sub.a, sub.b, sub.n) == (6.0, 10.0, 5)
+    assert np.array_equal(w, nu[6:])
+    assert np.array_equal(x, grid.nodes()[6:])
+
+
 def test_small_gap_matches_tight_bisection():
     # a double well's gap, about 3e-4, far below |S| ~ 1e7: the certified
     # value agrees with a bisection run to full precision on the same
