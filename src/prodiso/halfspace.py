@@ -6,7 +6,9 @@ boundary hyperplane, the one rule tested here (its psi'' identities hold
 for smooth factors only).  Stability is decided through
 eigenvalue margins: the spectral-gap criterion for coordinate directions
 and the two weighted Poincare conditions for the two-equal-component
-directions.
+directions.  The coordinate stable region is the sign set of the same
+margin, cut at the measure's kinks (``MeasureSpec._kinks``), where
+psi'' and with it the verdict do not exist.
 """
 
 from __future__ import annotations
@@ -247,47 +249,33 @@ def coordinate_stable_region(m: MeasureSpec,
                              ) -> list[tuple[float, float]]:
     """Sublevel region {t : -psi''(t) <= spectral gap} as intervals.
 
-    Scans the truncation interval and refines crossings by bisection; a
-    scan endpoint inside the region is extended to the corresponding
-    infinity (the built-in potentials are monotone past the truncation).
+    The sign set of ``coordinate_stability``'s margin lambda + psi''(t), up
+    to the solver's slack, sampled at the midpoints of a scan of the 1e-10
+    truncation interval; all crossings are refined together by one
+    bisection.  A scan end inside the region extends to that infinity (the
+    built-in potentials are monotone past the truncation), and intervals
+    are cut at the measure's kinks, where psi'' does not exist.
     """
     lam = spectral_gap(m, gap_options)
-    b = m.truncation_interval(1e-10)[1]
-    ts = np.linspace(-b, b, _REGION_SCAN)
-    if m._singular_points():
-        ts = ts + 0.5 * (ts[1] - ts[0])     # dodge kinks at grid points
-        ts = ts[ts < b]
     slack = 1e-8 * (1.0 + abs(lam))    # solver accuracy at the threshold
-    s = -_psi_derivatives(m, ts)[1] - lam
-    inside = s <= slack
-    if not np.any(inside):
-        return []
 
-    def refine(a: float, c: float) -> float:
-        # a is inside the region, c outside; bisect to the crossing
-        for _ in range(80):
-            mid = 0.5 * (a + c)
-            if (-_psi_derivatives(m, mid)[1] - lam) <= slack:
-                a = mid
-            else:
-                c = mid
-        return 0.5 * (a + c)
+    def inside(t: np.ndarray) -> np.ndarray:
+        return lam + _psi_derivatives(m, t)[1] >= -slack
 
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    n = len(ts)
-    while i < n:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and inside[j + 1]:
-            j += 1
-        lo = -math.inf if i == 0 else refine(ts[i], ts[i - 1])
-        hi = math.inf if j == n - 1 else refine(ts[j], ts[j + 1])
-        intervals.append((lo, hi))
-        i = j + 1
-    return intervals
+    nodes = np.linspace(*m.truncation_interval(1e-10), _REGION_SCAN)
+    ts = 0.5 * (nodes[:-1] + nodes[1:])
+    scan = inside(ts)
+    i = np.flatnonzero(scan[:-1] != scan[1:])
+    a, c = ts[i], ts[i + 1]    # a stays on ts[i]'s side of each crossing
+    for _ in range(80):
+        mid = 0.5 * (a + c)
+        same = inside(mid) == scan[i]
+        a, c = np.where(same, mid, a), np.where(same, c, mid)
+    ends = np.concatenate([[-math.inf] if scan[0] else [], 0.5 * (a + c),
+                           [math.inf] if scan[-1] else []])
+    cut = [k for k in m._kinks() if np.searchsorted(ends, k) % 2]    # in an interval
+    ends = np.sort(np.concatenate([ends, cut, cut])).tolist()
+    return list(zip(ends[::2], ends[1::2]))
 
 
 def boundary_density(m: MeasureSpec, alpha: float, tau: float,
@@ -332,8 +320,10 @@ def noncoordinate_stability(m: MeasureSpec, alpha: int, tau: float,
         raise HypothesisViolated("measure must be even")
     b = m.truncation_interval(1e-12)[1]
     if m.log_concavity != STRICTLY_LOG_CONCAVE:
-        # unknown flag (e.g. perturbed Gaussians): certify by sampling
-        psi2 = _psi_derivatives(m, np.linspace(0.0, b, 2001))[1]
+        # unknown flag (e.g. perturbed Gaussians): certify by sampling, off
+        # the kinks, where psi'' does not exist
+        s = np.linspace(0.0, b, 2001)
+        psi2 = _psi_derivatives(m, s[~np.isin(s, m._kinks())])[1]
         if np.any(psi2 >= 0.0):
             raise HypothesisViolated("measure must be strictly log-concave")
 

@@ -9,13 +9,16 @@ perturbation, and user-supplied potentials.
 Logistic, Gaussian and two-sided exponential measures have closed-form CDFs,
 quantiles and characteristic functions.  The other kinds share one cached
 two-sided CDF table per measure (``MeasureSpec._cdf_table``): Gauss panels
-on the truncation interval with the mass below and above each node.
-``cdf`` adds one Gauss rule on the panel holding ``x``; ``quantile`` inverts
-the table on the side of the smaller tail by Newton steps with the density,
-kept inside the panel's bracket, so tail quantiles keep their relative
-accuracy.
-Quadratures split at the singular points: the kink at 0 of the exponential
-and power laws, and the breakpoints of a Gaussian's bump.
+on the interval outside which each tail holds less than 1e-300 of the
+mass, with the mass below and above each node.  ``cdf`` adds one Gauss
+rule on the panel holding ``x``; ``quantile`` inverts the table on the side
+of the smaller tail by Newton steps with the density, kept inside the
+panel's bracket, so tail quantiles keep their relative accuracy down to
+probabilities near 1e-300.
+Quadratures split at the singular points: the origin of the exponential
+and power laws, and the breakpoints of a Gaussian's bump.  The kinks, the
+points where psi'' does not exist, are one list (``MeasureSpec._kinks``):
+0 for the exponential and for power laws with p < 2.
 """
 
 from __future__ import annotations
@@ -40,11 +43,12 @@ _DEFAULT_TAIL = 1e-12
 _FLAG_TOL = 1e-10    # absolute deviation verify_flags still accepts
 _ndtri = NormalDist().inv_cdf
 
-# The CDF table: mass left outside [-b, b], Gauss panels per segment between
-# singular points, the embedded-pair disagreement above which a panel is
-# integrated adaptively (masses are normalized, so it is absolute), and the
-# tolerance of that adaptive quadrature.
-_TABLE_TAIL = 1e-30
+# The CDF table: mass left outside [-b, b] (far below any level a tail
+# quantile is asked for, so it keeps its relative accuracy), Gauss panels per
+# segment between singular points, the embedded-pair disagreement above which
+# a panel is integrated adaptively (masses are normalized, so it is
+# absolute), and the tolerance of that adaptive quadrature.
+_TABLE_TAIL = 1e-300
 _TABLE_PANELS = 64
 _PANEL_PAIR_TOL = 1e-16
 _PANEL_REL_TOL = 1e-14
@@ -269,16 +273,20 @@ class MeasureSpec:
                     -np.asarray(ddv, dtype=float))
         raise DomainError(f"unknown measure kind {self.kind!r}")
 
+    def _kinks(self) -> tuple[float, ...]:
+        """Where psi'' does not exist: 0 for the two-sided exponential (psi'
+        jumps there) and for power laws with p < 2."""
+        if self.kind == "exponential" or (self.kind == "power" and self.p < 2.0):
+            return (0.0,)
+        return ()
+
     def _require_differentiable(self, x: np.ndarray) -> None:
-        """Raise unless every point of x is finite and psi', psi'' exist there."""
+        """Raise unless every point of x is finite and off ``_kinks``."""
         if not np.all(np.isfinite(x)):
             raise DomainError("evaluation points must be finite")
-        if self.kind == "power" and self.p < 2.0 and np.any(x == 0.0):
+        if any(np.any(x == k) for k in self._kinks()):
             raise NonDifferentiablePoint(
-                "power-law psi'' undefined at 0 for p < 2")
-        if self.kind == "exponential" and np.any(x == 0.0):
-            raise NonDifferentiablePoint(
-                "two-sided exponential psi', psi'' undefined at 0")
+                f"{self.kind} psi'' undefined at its kinks {self._kinks()}")
 
     def log_density(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Normalized (psi, psi', psi''); raises at non-differentiable points."""
@@ -300,7 +308,7 @@ class MeasureSpec:
 
     @cached_property
     def _cdf_table(self) -> _CdfTable:
-        """Panel nodes on the 1e-30 truncation interval and the masses below
+        """Panel nodes on the 1e-300 truncation interval and the masses below
         and above each node, for the kinds without a closed-form CDF.
 
         The density is evaluated for every panel in one call on a flat
@@ -342,7 +350,8 @@ class MeasureSpec:
 
     def cdf(self, x: float) -> float:
         if self.kind == "logistic":
-            return float(1.0 / (1.0 + np.exp(-x)))
+            e = float(np.exp(-abs(x)))    # never exp of a positive number
+            return 1.0 / (1.0 + e) if x >= 0 else e / (1.0 + e)
         if self.kind == "gaussian":
             return 0.5 * math.erfc(-x / self.sigma / math.sqrt(2.0))
         if self.kind == "exponential":

@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, summaries and artifact files."""
 
+import dataclasses
 import json
 
 import pytest
 
+from prodiso import cli
 from prodiso.cli import build_parser, main
-from prodiso.isoprofile import tensor_lower_bound
+from prodiso.isoprofile import clt_upper_bound, tensor_lower_bound
 from prodiso.measures import MeasureSpec
+from prodiso.perturb import design_bump
 from prodiso.spectral import DEFAULT_SOLVER_MARGIN, GapOptions
 
 
@@ -157,6 +160,15 @@ def test_clt(tmp_path, capsys):
     assert abs(trace[0] - 0.25) < 1e-6
 
 
+def test_envelope_writes_the_clt_trace(tmp_path, capsys):
+    path = tmp_path / "env.json"
+    code, _, _ = run(capsys, "envelope", "--measure", "logistic",
+                     "--grid-t", "5", "--n-max", "4", "--out", str(path))
+    assert code == 0
+    trace = json.loads(path.read_text())["clt_trace"]
+    assert trace == clt_upper_bound(MeasureSpec.logistic(), 0.5, 4)
+
+
 def test_perturb_commands(tmp_path, capsys):
     path = tmp_path / "design.json"
     code, out, _ = run(capsys, "perturb-design", "--out", str(path))
@@ -173,6 +185,26 @@ def test_perturb_commands(tmp_path, capsys):
                        "--eps", "0.01")
     assert code == 0
     assert "baselines=" in out
+
+
+def test_perturb_validate_defaults_to_the_designed_bump(tmp_path, capsys):
+    paths = tmp_path / "default.json", tmp_path / "given.json"
+    code, _, _ = run(capsys, "perturb-validate", "--eps", "0.01",
+                     "--out", str(paths[0]))
+    assert code == 0
+    code, _, _ = run(capsys, "perturb-validate", "--eps", "0.01",
+                     "--bump", design_bump()[0].to_json(), "--out", str(paths[1]))
+    assert code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_tensor_oracle_disagreement_exits_1(monkeypatch, capsys):
+    real = cli.tensor_oracle_2d
+    monkeypatch.setattr(cli, "tensor_oracle_2d", lambda *args: dataclasses.replace(
+        real(*args), agrees=False))
+    code, out, _ = run(capsys, "tensor-oracle", "--count", "2", "--seed", "9")
+    assert code == 1
+    assert "disagreements=2" in out
 
 
 def test_tensor_oracle(capsys):

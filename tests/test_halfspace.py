@@ -265,6 +265,48 @@ def test_coordinate_stable_region_gaussian_and_power():
     assert abs(region[0][1] - t_star) < 1e-4
 
 
+_REGION_MEASURES = [LOGISTIC, MeasureSpec.gaussian(0.5), MeasureSpec.gaussian(2.0),
+                    MeasureSpec.power_law(1.5), MeasureSpec.power_law(3.0), POWER4,
+                    MeasureSpec.two_sided_exponential(),
+                    MeasureSpec.gaussian_bump(0.3, design_bump()[0])]
+
+
+def test_coordinate_stable_region_cuts_at_the_kink():
+    # psi'' = 0 on both sides of the exponential's kink, where it does not
+    # exist and coordinate_stability raises
+    region = coordinate_stable_region(MeasureSpec.two_sided_exponential())
+    assert region == [(-math.inf, 0.0), (0.0, math.inf)]
+    assert all(type(e) is float for interval in region for e in interval)
+
+
+@pytest.mark.parametrize("m", _REGION_MEASURES, ids=lambda m: m.label)
+def test_coordinate_stable_region_agrees_with_the_verdict(m):
+    # inside every interval the verdict's own margin is within the slack
+    # and the verdict exists
+    region = coordinate_stable_region(m)
+    assert all(type(e) is float for interval in region for e in interval)
+    ends = [e for interval in region for e in interval]
+    assert ends == sorted(ends)
+    b = m.truncation_interval(1e-10)[1]
+    for lo, hi in region:
+        for t in np.linspace(max(lo, -b), min(hi, b), 9)[1:-1]:
+            certs = coordinate_stability(m, float(t)).certificates
+            lam = certs["lambda"]
+            assert -certs["psi_second_at_t"] <= lam + 1e-8 * (1.0 + lam)
+
+
+def test_bumped_region_ends_are_pinned():
+    # the five intervals where the bumped Gaussian's -psi'' stays below its
+    # gap, as the scalar per-crossing bisection found them
+    pinned = [(-1.749153394072834, -1.4260601098938275),
+              (-1.1644076185591974, -0.2292868492788182),
+              (-0.04158256251688114, 0.04158256251688114),
+              (0.2292868492788182, 1.1644076185591974),
+              (1.4260601098938275, 1.749153394072834)]
+    region = coordinate_stable_region(_REGION_MEASURES[-1])
+    assert np.allclose(region, pinned, rtol=1e-12, atol=0.0)
+
+
 def test_noncoordinate_logistic_dims():
     assert noncoordinate_stability(LOGISTIC, -1, 0.0, 2).tag == STABLE
     v = noncoordinate_stability(LOGISTIC, -1, 0.0, 3)
@@ -322,6 +364,24 @@ def test_noncoordinate_rejects_asymmetric():
                        np.ones_like(np.asarray(x, dtype=float)))), 1, 0.0, 2)
     with pytest.raises(DomainError):
         noncoordinate_stability(LOGISTIC, 2, 0.0, 3)
+
+
+def test_noncoordinate_log_concavity_sample_skips_the_kinks():
+    # the exponential is not strictly log-concave (psi'' = 0 off the kink);
+    # power(1.5) is, but theta = -psi'' does not exist at its kink, a node
+    # of the boundary grid
+    with pytest.raises(HypothesisViolated, match="strictly log-concave"):
+        noncoordinate_stability(MeasureSpec.two_sided_exponential(), -1, 0.0, 2)
+    with pytest.raises(NonDifferentiablePoint):
+        noncoordinate_stability(MeasureSpec.power_law(1.5), -1, 0.0, 2)
+
+
+def test_noncoordinate_rejects_a_sampled_convexity_failure():
+    # a bump this large makes psi'' positive somewhere: the unknown flag is
+    # checked by sampling and refused
+    m = MeasureSpec.gaussian_bump(3.0, design_bump()[0])
+    with pytest.raises(HypothesisViolated, match="strictly log-concave"):
+        noncoordinate_stability(m, -1, 0.0, 2)
 
 
 def test_projection_density_variance():
@@ -478,6 +538,32 @@ def test_boundary_measure_permutation_equivariant(data):
     flipped = boundary_measure(ms, HalfSpace(tuple(-c for c in v), -t))
     assert abs(permuted - val) <= 1e-12 * val
     assert abs(flipped - val) <= 1e-12 * val
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(data=st.data())
+def test_stationarity_tag_is_permutation_invariant(data):
+    # permuting the factors with the direction's components relabels the
+    # boundary, not its curvature; two components of different size keep
+    # their free and reference roles, so the sampled spread is the same too
+    dim = data.draw(st.integers(2, 4))
+    ms = data.draw(st.lists(st.sampled_from(_MIXED + [GAUSSIAN] * 3),
+                            min_size=dim, max_size=dim))
+    size = st.one_of(st.floats(1e-3, 1.0), st.sampled_from((0.5, 1.0)), st.just(0.0))
+    v = [s * c for s, c in data.draw(st.lists(
+        st.tuples(st.sampled_from((-1.0, 1.0)), size), min_size=dim, max_size=dim))]
+    if not any(v):
+        v[0] = 1.0
+    t = data.draw(st.sampled_from((0.0, 0.3, -1.1)))
+    perm = data.draw(st.permutations(range(dim)))
+    hs = HalfSpace(tuple(v), t)
+    verdict = classify_stationary(ms, hs)
+    permuted = classify_stationary([ms[i] for i in perm],
+                                   HalfSpace(tuple(v[i] for i in perm), t))
+    assert permuted.tag == verdict.tag
+    sizes = [abs(hs.v[i]) for i in hs.nonzero]
+    if len(sizes) == 2 and sizes[0] != sizes[1]:
+        assert permuted.residual == verdict.residual
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)

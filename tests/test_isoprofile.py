@@ -241,3 +241,16 @@ def test_envelope_ordering_and_serialization():
     assert len(csv.splitlines()) == 22
     # symmetric measure: envelope symmetric under t -> 1 - t
     assert np.max(np.abs(pb.lower - pb.lower[::-1])) < 1e-12
+
+
+@pytest.mark.parametrize("m", [LOGISTIC, MeasureSpec.power_law(3.0)],
+                         ids=lambda m: m.label)
+def test_clt_trace_of_length_one_is_the_density_at_the_quantile(m):
+    # N = 1 needs no spectrum: S_1 = X_1
+    assert clt_upper_bound(m, 0.3, 1) == [m.density(m.quantile(0.3))]
+
+
+def test_envelope_carries_the_clt_trace_at_one_half():
+    pb = profile_envelope(LOGISTIC, np.linspace(0.0, 1.0, 5), clt_n_max=4)
+    assert pb.clt_trace == tuple(clt_upper_bound(LOGISTIC, 0.5, 4))
+    assert profile_envelope(LOGISTIC, [0.5]).clt_trace == ()

@@ -37,6 +37,14 @@ def test_cdf_quantile_roundtrip(m):
         assert abs(m.cdf(m.quantile(t)) - t) < 1e-9
 
 
+@pytest.mark.parametrize("x", [-800.0, -30.0, 30.0, 800.0])
+def test_logistic_cdf_never_overflows(x):
+    # 1 / (1 + e^-x), whose e^800 would raise numpy's overflow warning
+    e = math.exp(-abs(x))
+    expect = 1.0 / (1.0 + e) if x > 0 else e / (1.0 + e)
+    assert MeasureSpec.logistic().cdf(x) == pytest.approx(expect, rel=1e-15)
+
+
 def test_logistic_cdf_identity():
     # F' = F (1 - F) characterizes the logistic distribution
     m = MeasureSpec.logistic()
@@ -89,6 +97,23 @@ def test_kinks_raise():
     assert MeasureSpec.power_law(4.0).log_density(0.0)[2] == 0.0
 
 
+@pytest.mark.parametrize("m, kinks", [
+    (MeasureSpec.two_sided_exponential(), (0.0,)),
+    (MeasureSpec.power_law(1.5), (0.0,)),
+    (MeasureSpec.power_law(2.0), ()),
+    (MeasureSpec.power_law(3.0), ()),
+    (MeasureSpec.logistic(), ()),
+    (MeasureSpec.gaussian_bump(0.3, BumpFunction((0.5,), (1.0,), (0.8,))), ()),
+], ids=lambda v: getattr(v, "label", None))
+def test_kinks_are_where_psi_second_does_not_exist(m, kinks):
+    # a bump's breakpoints are singular points of the density, not kinks
+    assert m._kinks() == kinks
+    for k in kinks:
+        with pytest.raises(NonDifferentiablePoint):
+            m.log_density(np.array([1.0, k]))
+        m.log_density(np.array([k - 1e-9, k + 1e-9]))
+
+
 def test_verify_flags():
     for m in ALL_BUILTINS:
         report = m.verify_flags()
@@ -128,6 +153,19 @@ SHIFTED_GAUSSIAN = MeasureSpec.custom(_shifted_gaussian,
 def test_asymmetric_custom_mean():
     # not flagged symmetric, so the mean is integrated: N(1, 1) has mean 1
     assert abs(SHIFTED_GAUSSIAN.mean - 1.0) < 1e-9
+
+
+def _gaussian_potential(x, sigma=1.7):
+    x = np.asarray(x, dtype=float)
+    return x * x / (2 * sigma ** 2), x / sigma ** 2, np.full_like(x, sigma ** -2)
+
+
+def test_unflagged_custom_moments_by_quadrature():
+    # a centred Gaussian potential not flagged symmetric takes the
+    # quadrature path for both its mean and its variance
+    m = MeasureSpec.custom(_gaussian_potential, symmetric=False)
+    assert abs(m.mean) < 1e-9
+    assert abs(m.variance - 2.89) < 1e-8
 
 
 def test_bump_even_and_derivatives():
@@ -205,6 +243,56 @@ def test_power_tail_quantiles_match_incomplete_gamma(p, exponent, upper):
         assert abs(x - ref) <= 1e-13 * abs(ref)
         assert abs(m.cdf(x) - t) <= 1e-13 * min(t, 1.0 - t) + 2.3e-16
     assert xs[0] < xs[1]
+
+
+def _mp_power_quantile(p, t, start):
+    """Lower-tail power-law quantile at 40 digits from mpmath's gammainc:
+    F(-x) = Q(1/p, x^p) / 2, solved for log x^p from a start near it."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(1) / p
+
+        def gap(v):
+            tail = mpmath.gammainc(a, mpmath.exp(v), mpmath.inf, regularized=True)
+            return mpmath.log(tail / 2) - mpmath.log(t)
+
+        v = mpmath.findroot(gap, p * mpmath.log(abs(start)))
+        return -float(mpmath.exp(v / p))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("t", [1e-20, 1e-30, 1e-100])
+def test_table_quantiles_keep_relative_accuracy_far_out(p, t):
+    # the table keeps the mass down to 1e-300 of each tail: cut at 1e-30,
+    # a quantile at t was off by about 5e-31 / t, relative
+    m = MeasureSpec.power_law(p)
+    x = m.quantile(t)
+    assert abs(x / _mp_power_quantile(p, t, x) - 1.0) <= 1e-13
+    assert abs(m.cdf(x) / t - 1.0) <= 1e-12
+
+
+def test_tail_cdf_reads_the_quantile_level():
+    # cut at 1e-30, quantile(1e-40) of power(3) was -4.0270, whose CDF is
+    # about 5e-31
+    m = MeasureSpec.power_law(3.0)
+    x = m.quantile(1e-40)
+    assert x < -4.4
+    assert abs(m.cdf(x) / 1e-40 - 1.0) <= 1e-12
+
+
+def test_cdf_beyond_the_table_is_zero_or_one():
+    m = MeasureSpec.power_law(3.0)
+    b = m._cdf_table.nodes[-1]
+    assert m.cdf(-b - 1.0) == 0.0 and m.cdf(-b) == 0.0
+    assert m.cdf(b + 1.0) == 1.0 and m.cdf(b) == 1.0
+
+
+def test_custom_gaussian_table_reaches_far_tails():
+    # a custom potential finds its own 1e-300 truncation by quadrature
+    m = MeasureSpec.custom(_gaussian_potential, symmetric=True)
+    for t in (1e-3, 0.3, 1e-20, 1e-100, 1e-250):
+        x = m.quantile(t)
+        assert abs(x / MeasureSpec.gaussian(1.7).quantile(t) - 1.0) <= 1e-14
 
 
 def _tilted_quartic(x):

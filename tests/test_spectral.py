@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 
 from prodiso import spectral
 from prodiso.errors import (
+    DomainError,
     NoConvergence,
     NonConvexPotential,
     OutOfBudget,
@@ -503,6 +504,46 @@ def test_solver_matches_dense_reference():
             res = solve_smallest(prob)
             assert abs(res.value - ref) < 1e-9 * abs(ref)
             assert res.lower_bound <= res.value
+
+
+def _mp_eigenvalues(prob):
+    """Eigenvalues of the pencil (A, M), M diagonal, at 30 digits: those of
+    M^(-1/2) A M^(-1/2) built from the same double entries, ascending."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        s = [1 / mpmath.sqrt(mpmath.mpf(float(m))) for m in prob.mass_diag]
+        n = len(s)
+        b = mpmath.zeros(n, n)
+        for i in range(n):
+            b[i, i] = mpmath.mpf(float(prob.diag[i])) * s[i] * s[i]
+        for i in range(n - 1):
+            b[i, i + 1] = b[i + 1, i] = mpmath.mpf(float(prob.off[i])) * s[i] * s[i + 1]
+        return sorted(float(e) for e in mpmath.eigsy(b, eigvals_only=True))
+
+
+@pytest.mark.parametrize("n", [21, 41])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_solver_matches_mpmath_eigenvalues(seed, n):
+    # a shifted pencil's smallest eigenvalue, and the mean-constrained
+    # minimum of (w, w), which is the pencil's second eigenvalue: the
+    # constraint removes the constant null mode
+    rng = np.random.default_rng(seed)
+    grid = Grid.symmetric_grid(rng.uniform(1.0, 5.0), n)
+    w = np.exp(rng.normal(0.0, 1.0, n))
+    mass = np.exp(rng.normal(0.0, 1.0, n))
+    for prob, k in ((assemble(w, mass, grid, shift=rng.uniform(0.1, 3.0)), 0),
+                    (assemble(w, w, grid, constraint_weight=w), 1)):
+        ref = _mp_eigenvalues(prob)[k]
+        res = solve_smallest(prob)
+        assert abs(res.value - ref) <= 1e-12 * ref
+        assert res.lower_bound <= ref
+
+
+def test_check_P2_rejects_a_negative_shift():
+    grid = Grid.symmetric_grid(4.0, 101)
+    nu = np.exp(-0.5 * grid.nodes() ** 2)
+    with pytest.raises(DomainError, match="nonnegative"):
+        check_P2(nu, np.ones(grid.n), -0.1, grid)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
