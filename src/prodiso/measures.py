@@ -45,9 +45,9 @@ _ndtri = NormalDist().inv_cdf
 
 # The CDF table: mass left outside [-b, b] (far below any level a tail
 # quantile is asked for, so it keeps its relative accuracy), Gauss panels per
-# segment between singular points, the embedded-pair disagreement above which
-# a panel is integrated adaptively (masses are normalized, so it is
-# absolute), and the tolerance of that adaptive quadrature.
+# segment between singular points, the embedded-pair disagreement, relative
+# to the total mass, above which a panel is integrated adaptively, and the
+# tolerance of that adaptive quadrature.
 _TABLE_TAIL = 1e-300
 _TABLE_PANELS = 64
 _PANEL_PAIR_TOL = 1e-16
@@ -59,7 +59,9 @@ class _CdfTable(NamedTuple):
     lower: np.ndarray      # normalized mass below each node
     upper: np.ndarray      # normalized mass above each node
     adaptive: np.ndarray   # panels whose Gauss pair disagreed
-    total: float           # tabulated mass of the density
+    total: float           # tabulated mass of the raw density exp(psi_raw)
+    mean: float            # and its mean and variance, by the 21-point rule
+    variance: float
 
 
 def _mollifier(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,10 +148,29 @@ class BumpFunction:
 
     @staticmethod
     def from_json(text: str) -> "BumpFunction":
-        d = json.loads(text)
-        return BumpFunction(
-            tuple(d["coefficients"]), tuple(d["centers"]), tuple(d["widths"])
-        )
+        return _bump_from_dict(json.loads(text))
+
+
+def _field(d: dict, key: str, convert, default=None):
+    """``convert(d[key])``, or ``default`` when one is given and the key is
+    absent; a missing or mistyped field raises DomainError naming it."""
+    if key not in d:
+        if default is None:
+            raise DomainError(f"descriptor lacks the field {key!r}")
+        return default
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"descriptor field {key!r} has a malformed value {d[key]!r}") from None
+
+
+def _bump_from_dict(d) -> BumpFunction:
+    """The bump of a {"coefficients", "centers", "widths"} JSON object."""
+    if not isinstance(d, dict):
+        raise DomainError("a bump descriptor must be a JSON object")
+    return BumpFunction(*(_field(d, k, lambda v: tuple(map(float, v)))
+                          for k in ("coefficients", "centers", "widths")))
 
 
 @dataclass(frozen=True)
@@ -208,7 +229,14 @@ class MeasureSpec:
     @staticmethod
     def custom(potential: Callable, symmetric: bool = False,
                log_concavity: str = UNKNOWN, label: str = "custom") -> "MeasureSpec":
-        """``potential(x) -> (v, v', v'')`` vectorized, density prop. exp(-v)."""
+        """``potential(x) -> (v, v', v'')`` vectorized, density prop. exp(-v).
+
+        v must be twice differentiable: a custom measure declares no kinks,
+        so psi'' = -v'' is read everywhere and a kink goes unseen.  v must
+        also be finite wherever exp(-v) is above 1e-300 of its peak, since
+        the CDF table, and with it the mass, reaches that far into each
+        tail.
+        """
         return MeasureSpec(kind="custom", potential=potential, symmetric=symmetric,
                            log_concavity=log_concavity, label=label)
 
@@ -216,15 +244,12 @@ class MeasureSpec:
 
     @cached_property
     def _log_norm(self) -> float:
-        """log of the raw-density mass; 0 for exactly normalized kinds."""
+        """log of the raw-density mass: a closed form, or the CDF table's."""
         if self.kind in ("logistic", "gaussian", "exponential"):
             return 0.0
         if self.kind == "power":
             return math.log(2.0 * math.gamma(1.0 + 1.0 / self.p))
-        b = self._raw_truncation(1e-15)
-        mass = integrate(lambda x: np.exp(self._raw_psi(x)[0]), -b, b,
-                         rel_tol=1e-13, points=self._singular_points())
-        return math.log(mass)
+        return math.log(self._cdf_table.total)
 
     def _singular_points(self) -> tuple[float, ...]:
         """Where the density is not analytic: kinks, and a bump's breakpoints."""
@@ -298,6 +323,10 @@ class MeasureSpec:
             return float(psi), float(dpsi), float(ddpsi)
         return psi, dpsi, ddpsi
 
+    def _raw_density(self, x) -> np.ndarray:
+        """Unnormalized density exp(psi_raw), which the CDF table integrates."""
+        return np.exp(self._raw_psi(x)[0])
+
     def density(self, x) -> np.ndarray:
         """Normalized density exp(psi); safe at kinks (value only)."""
         psi, _, _ = self._raw_psi(x)
@@ -311,42 +340,48 @@ class MeasureSpec:
         """Panel nodes on the 1e-300 truncation interval and the masses below
         and above each node, for the kinds without a closed-form CDF.
 
-        The density is evaluated for every panel in one call on a flat
-        array; a panel whose 21/10-point Gauss pair disagrees by more than
-        ``_PANEL_PAIR_TOL`` is integrated adaptively and remembered, so that
-        ``_panel_mass`` integrates adaptively there too.  Panels end at the
-        singular points, so only a custom potential's kinks need this.
+        The raw density is evaluated for every panel in one call; the
+        21-point sums give the mass, mean and variance.  Panels end at the
+        singular points; a panel whose 21/10-point pair still disagrees by
+        more than ``_PANEL_PAIR_TOL`` of the mass (a custom potential's
+        steep or kinked stretch) is integrated adaptively and remembered, so
+        that ``_panel_mass`` integrates adaptively there too.
         """
         b = self._raw_truncation(_TABLE_TAIL)
         cuts = [-b, *(s for s in self._singular_points() if -b < s < b), b]
         nodes, x, r = _composite_nodes(cuts, _TABLE_PANELS,
                                        np.concatenate([_XH, _XL]))
-        f = self.density(x.ravel()).reshape(x.shape)
-        mass = r * (f[:, :len(_XH)] @ _WH)
-        adaptive = np.abs(mass - r * (f[:, len(_XH):] @ _WL)) > _PANEL_PAIR_TOL
+        f = self._raw_density(x.ravel()).reshape(x.shape)
+        xh, fh = x[:, :len(_XH)], f[:, :len(_XH)]
+        mass = r * (fh @ _WH)
+        adaptive = (np.abs(mass - r * (f[:, len(_XH):] @ _WL))
+                    > _PANEL_PAIR_TOL * mass.sum())
         for j in np.nonzero(adaptive)[0]:
-            mass[j] = integrate(self.density, nodes[j], nodes[j + 1],
+            mass[j] = integrate(self._raw_density, nodes[j], nodes[j + 1],
                                 rel_tol=_PANEL_REL_TOL)
         total = float(mass.sum())
+        mean = float(r @ ((fh * xh) @ _WH)) / total
+        variance = float(r @ ((fh * (xh - mean) ** 2) @ _WH)) / total
         lower = np.concatenate([[0.0], np.cumsum(mass)]) / total
         upper = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]]) / total
-        return _CdfTable(nodes, lower, upper, adaptive, total)
+        return _CdfTable(nodes, lower, upper, adaptive, total, mean, variance)
 
     def _panel_mass(self, j: int, x: float, upper: bool) -> tuple[float, float]:
         """(F(x), or 1 - F(x) if ``upper``, and the density at x) for x in
         table panel j: the table entry at the panel end on that side plus one
         Gauss rule from there to x, adaptive quadrature on remembered panels."""
         t = self._cdf_table
-        a = t.nodes[j + 1] if upper else t.nodes[j]
-        base = t.upper[j + 1] if upper else t.lower[j]
+        k = j + 1 if upper else j     # the panel end on that side
+        a = float(t.nodes[k])
+        base = float(t.upper[k] if upper else t.lower[k])
         if t.adaptive[j]:
-            part = integrate(self.density, min(a, x), max(a, x),
+            part = integrate(self._raw_density, min(a, x), max(a, x),
                              rel_tol=_PANEL_REL_TOL)
-            return base + part / t.total, self.density(x)
+            return base + part / t.total, float(self._raw_density(x)) / t.total
         c = 0.5 * (a + x)
         r = 0.5 * abs(x - a)
-        f = self.density(np.append(c + r * _XH, x))
-        return base + r * float(f[:-1] @ _WH) / t.total, float(f[-1])
+        f = self._raw_density(np.append(c + r * _XH, x)) / t.total
+        return base + r * float(f[:-1] @ _WH), float(f[-1])
 
     def cdf(self, x: float) -> float:
         if self.kind == "logistic":
@@ -412,11 +447,7 @@ class MeasureSpec:
 
     @cached_property
     def mean(self) -> float:
-        if self.symmetric:
-            return 0.0
-        b = self._raw_truncation(1e-14)
-        return float(integrate(lambda x: x * self.density(x), -b, b,
-                               rel_tol=1e-10, points=self._singular_points()))
+        return 0.0 if self.symmetric else self._cdf_table.mean
 
     @cached_property
     def variance(self) -> float:
@@ -428,10 +459,7 @@ class MeasureSpec:
             return 2.0
         if self.kind == "power":
             return math.gamma(3.0 / self.p) / math.gamma(1.0 / self.p)
-        b = self._raw_truncation(1e-14)
-        m = self.mean
-        return float(integrate(lambda x: (x - m) ** 2 * self.density(x), -b, b,
-                               rel_tol=1e-9, points=self._singular_points()))
+        return self._cdf_table.variance
 
     # -- truncation ---------------------------------------------------
 
@@ -461,16 +489,12 @@ class MeasureSpec:
             # outside the bump support the raw density is the raw Gaussian
             return max(abs(_ndtri(s / 2.0)), r + 1.0)
         if self.kind == "custom":
-            # raw (unnormalized) density: the normalized one needs _log_norm,
-            # whose computation calls back into this truncation search
-            def raw(x):
-                return np.exp(self._raw_psi(x)[0])
-
+            # the raw density: the normalized one reads the table built on b
             b = 2.0
             while b < 1e6:
-                core = integrate(raw, -b, b, rel_tol=1e-8)
-                left = integrate(raw, -4 * b, -b, rel_tol=1e-6)
-                right = integrate(raw, b, 4 * b, rel_tol=1e-6)
+                core = integrate(self._raw_density, -b, b, rel_tol=1e-8)
+                left = integrate(self._raw_density, -4 * b, -b, rel_tol=1e-6)
+                right = integrate(self._raw_density, b, 4 * b, rel_tol=1e-6)
                 if left + right <= tail_mass * 0.5 * (core + left + right):
                     return b
                 b *= 1.5
@@ -522,19 +546,17 @@ class MeasureSpec:
                 desc = json.loads(text)
             else:
                 desc = {"kind": text}
-        kind = desc.get("kind", "").lower()
+        kind = _field(desc, "kind", str.lower)
         if kind == "logistic":
             return MeasureSpec.logistic()
         if kind == "gaussian":
-            return MeasureSpec.gaussian(float(desc.get("sigma", 1.0)))
+            return MeasureSpec.gaussian(_field(desc, "sigma", float, 1.0))
         if kind == "exponential":
             return MeasureSpec.two_sided_exponential()
         if kind == "power":
-            return MeasureSpec.power_law(float(desc["p"]))
+            return MeasureSpec.power_law(_field(desc, "p", float))
         if kind == "gaussian_bump":
-            bump = desc["bump"]
-            if isinstance(bump, dict):
-                bump = BumpFunction(tuple(bump["coefficients"]),
-                                    tuple(bump["centers"]), tuple(bump["widths"]))
-            return MeasureSpec.gaussian_bump(float(desc.get("eps", 0.0)), bump)
+            bump = _field(desc, "bump", lambda b: b if isinstance(b, BumpFunction)
+                          else _bump_from_dict(b))
+            return MeasureSpec.gaussian_bump(_field(desc, "eps", float, 0.0), bump)
         raise DomainError(f"unknown measure descriptor kind {kind!r}")

@@ -64,8 +64,10 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
     ``points`` are declared singular/kink locations; panels are pre-split
     there so the rule never straddles them.  Error is controlled against the
     difference of the embedded pair; raises NoConvergence past ``_MAX_DEPTH``
-    bisections on any panel.
+    bisections on any panel.  The bounds must be finite.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
     if b < a:
         return -integrate(f, b, a, rel_tol, points)
     if a == b:

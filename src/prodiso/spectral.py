@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -417,41 +417,31 @@ class GapOptions:
 
 
 def _gap_single(m, b: float, n: int,
-                coarse: tuple[float, EigenResult] | None = None
-                ) -> EigenResult:
-    """The gap's pencil on ``Grid.symmetric_grid(b, n)``, solved.
+                coarse: tuple[np.ndarray, EigenResult] | None = None
+                ) -> tuple[np.ndarray, EigenResult]:
+    """The gap's pencil on ``Grid.symmetric_grid(b, n)``, solved: the
+    cropped grid's nodes and the result on them.
 
-    The solve starts from the coordinate, or, given ``coarse`` = (b', r)
-    from an earlier mesh on [-b', b'], from r's eigenvector interpolated
-    onto this mesh's nodes.  The start vector changes only the work: the
-    value still comes from a shift that passed the inertia count.  The
-    returned eigenvector spans the whole grid, held at its end values where
-    the crop dropped the tails, so that a later mesh can start from it.
+    The solve starts from the coordinate, or from the eigenvector of
+    ``coarse``, an earlier mesh's return value, interpolated onto these
+    nodes and held at its end values beyond them.  The start changes only
+    the work: the value still comes from a shift that passed the count.
     """
     grid = Grid.symmetric_grid(b, n)
-    x = grid.nodes()
     # the gap is a Rayleigh quotient with w in both forms, so w need not be
-    # normalized: the raw density scaled to peak 1 skips the normalizing
-    # quadrature of the kinds without a closed-form mass
-    psi = m._raw_psi(x)[0]
+    # normalized: the raw density scaled to peak 1 skips the CDF table that
+    # normalizes the kinds without a closed-form mass
+    psi = m._raw_psi(grid.nodes())[0]
     w = np.exp(psi - np.max(psi))
     # drop only the tails where the density underflows outright, so that the
     # grid keeps spanning the b and 2b the Richardson model assumes; the
     # solver's equilibrated factor takes any representable dynamic range
     sub, w = _crop_support(w, grid, floor=1e-290)
-    y = sub.nodes()
-    if coarse is not None:
-        b0, r0 = coarse
-        y = np.interp(y, Grid.symmetric_grid(b0, r0.eigenvector.size).nodes(),
-                      r0.eigenvector)
+    x = sub.nodes()
+    y = x if coarse is None else np.interp(x, coarse[0], coarse[1].eigenvector)
     # with mass = stiffness weight the mean constraint removes exactly the
     # constant null mode, so the constrained minimum is the gap
-    res = _shift_invert(assemble(w, w, sub, constraint_weight=w), y)
-    if sub is grid:
-        return res
-    lo = int(np.searchsorted(x, sub.a))
-    return replace(res, eigenvector=np.pad(
-        res.eigenvector, (lo, n - lo - sub.n), mode="edge"))
+    return x, _shift_invert(assemble(w, w, sub, constraint_weight=w), y)
 
 
 _GAP_MEMO_SIZE = 128    # (measure, options) pairs whose gaps are kept
@@ -503,12 +493,12 @@ def _truncated_gaps(m, b: float, n: int) -> tuple[float, float]:
     other node, the second the spacing and [-b, b] nested in it, and
     (2b, 4n - 3) starts from (2b, 2n - 1).
     """
-    r_h = _gap_single(m, b, n)
-    r_h2 = _gap_single(m, b, 2 * n - 1, (b, r_h))
-    r2_h = _gap_single(m, 2 * b, 2 * n - 1, (b, r_h))
-    r2_h2 = _gap_single(m, 2 * b, 4 * n - 3, (2 * b, r2_h))
-    lam_b = r_h2.value + (r_h2.value - r_h.value) / 3.0
-    lam_2b = r2_h2.value + (r2_h2.value - r2_h.value) / 3.0
+    h = _gap_single(m, b, n)
+    h2 = _gap_single(m, b, 2 * n - 1, h)
+    h_2b = _gap_single(m, 2 * b, 2 * n - 1, h)
+    h2_2b = _gap_single(m, 2 * b, 4 * n - 3, h_2b)
+    lam_b = h2[1].value + (h2[1].value - h[1].value) / 3.0
+    lam_2b = h2_2b[1].value + (h2_2b[1].value - h_2b[1].value) / 3.0
     return lam_b, lam_2b
 
 

@@ -190,9 +190,12 @@ def _bl_random_cases(count: int = 50) -> float:
     def pot_factory(a, c, d, e):
         def pot(x):
             x = np.asarray(x, dtype=float)
-            return (a * x * x / 2.0 + c * np.log(np.cosh(d * x)) + e * x,
-                    a * x + c * d * np.tanh(d * x) + e,
-                    a + c * d * d / np.cosh(d * x) ** 2)
+            # c log cosh(dx), written so that no tail overflows
+            log_cosh = np.logaddexp(d * x, -d * x) - math.log(2.0)
+            t = np.tanh(d * x)
+            return (a * x * x / 2.0 + c * log_cosh + e * x,
+                    a * x + c * d * t + e,
+                    a + c * d * d * (1.0 - t * t))
         return pot
 
     rng = np.random.default_rng(7)

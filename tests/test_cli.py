@@ -281,14 +281,35 @@ def test_perturb_design_csv_lists_the_epsilons(tmp_path, capsys):
     (["perturb-slopes", "--bump", "notjson"], "Expecting value"),
     (["spectral-gap", "--measure", "gaussian", "--out", "no/such/a.json"],
      "No such file or directory"),
+    # malformed descriptors name the missing or mistyped field
+    (["spectral-gap", "--measure", '{"kind": "power"}'],
+     "DomainError: descriptor lacks the field 'p'"),
+    (["spectral-gap", "--measure", '{"kind": "gaussian_bump", "eps": 0.1}'],
+     "DomainError: descriptor lacks the field 'bump'"),
+    (["spectral-gap", "--measure", '{"kind": 1}'],
+     "DomainError: descriptor field 'kind'"),
+    (["spectral-gap", "--measure", '{"kind": "gaussian", "sigma": null}'],
+     "DomainError: descriptor field 'sigma'"),
+    (["spectral-gap", "--measure",
+      '{"kind": "gaussian_bump", "bump": [1], "eps": 0.1}'],
+     "DomainError: a bump descriptor must be a JSON object"),
+    (["perturb-slopes", "--bump", '{"coefficients": [1]}'],
+     "DomainError: descriptor lacks the field 'centers'"),
+    (["perturb-slopes", "--bump",
+      '{"coefficients": [1], "centers": ["x"], "widths": [1]}'],
+     "DomainError: descriptor field 'centers'"),
+    (["perturb-slopes", "--bump", "[1]"],
+     "DomainError: a bump descriptor must be a JSON object"),
 ])
 def test_bad_input_and_unwritable_out_exit_1(argv, message, tmp_path,
                                              monkeypatch, capsys):
-    # a ValueError or OSError, not a library error, still exits 1
+    # a ValueError or OSError, not a library error, still exits 1, and
+    # outside input never reaches the user as a traceback
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_parser_defaults_are_the_library_defaults():

@@ -203,14 +203,18 @@ def test_warm_power_envelope_density_budget(monkeypatch):
     m = MeasureSpec.power_law(4.0)
     ts = np.linspace(0.0, 1.0, 101)
     profile_envelope(m, ts)
-    density = MeasureSpec.density
     calls = []
 
-    def counting(self, x):
-        calls.append(1)
-        return density(self, x)
+    def counting(reader):
+        def counted(self, x):
+            calls.append(1)
+            return reader(self, x)
+        return counted
 
-    monkeypatch.setattr(MeasureSpec, "density", counting)
+    # the normalized reader, and the raw one that the CDF table reads
+    for name in ("density", "_raw_density"):
+        monkeypatch.setattr(MeasureSpec, name,
+                            counting(getattr(MeasureSpec, name)))
     profile_envelope(m, ts)
     assert len(calls) < 2000
 

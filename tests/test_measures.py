@@ -164,8 +164,43 @@ def test_unflagged_custom_moments_by_quadrature():
     # a centred Gaussian potential not flagged symmetric takes the
     # quadrature path for both its mean and its variance
     m = MeasureSpec.custom(_gaussian_potential, symmetric=False)
-    assert abs(m.mean) < 1e-9
-    assert abs(m.variance - 2.89) < 1e-8
+    assert abs(m.mean) < 1e-14
+    assert abs(m.variance - 2.89) < 1e-14
+
+
+def _two_sided_exponential_potential(x):
+    x = np.asarray(x, dtype=float)
+    return np.abs(x), np.sign(x), np.zeros_like(x)
+
+
+def test_table_moments_match_mpmath():
+    # design_bump()'s first bump at eps = 0.3: log-mass and variance from
+    # mpmath.quad at 30 digits, split at the breakpoints; the moments and
+    # the mass are the CDF table's own panel sums
+    bump = BumpFunction((1.4768170202909112, 2.828140746496974), (1.0, 0.0),
+                        (1.0, 1.5))
+    m = MeasureSpec.gaussian_bump(0.3, bump)
+    assert abs(m._log_norm - 0.199703926935681444) <= 2e-16
+    var = 1.50168291664712983538
+    assert abs(m.variance - var) <= 1e-14 * var
+    assert math.exp(m._log_norm) == m._cdf_table.total
+    # the two-sided exponential as a custom potential, unflagged: its table
+    # panels next to the kink at 0 fall back to adaptive quadrature
+    e = MeasureSpec.custom(_two_sided_exponential_potential)
+    assert e._cdf_table.adaptive.any()
+    assert abs(e.mean) <= 1e-14
+    assert abs(e.variance - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [
+    MeasureSpec.logistic(), MeasureSpec.gaussian(0.5),
+    MeasureSpec.two_sided_exponential(), MeasureSpec.power_law(3.0),
+    MeasureSpec.gaussian_bump(0.3, BumpFunction((0.5,), (1.0,), (0.8,))),
+    MeasureSpec.custom(_gaussian_potential),
+], ids=lambda m: m.kind)
+def test_cdf_returns_a_python_float(m):
+    for x in (-0.3, 0.7, -1e3, 1e3):
+        assert type(m.cdf(x)) is float
 
 
 def test_bump_even_and_derivatives():
@@ -324,14 +359,14 @@ def test_power_quantile_next_to_kink():
 
 def test_cdf_table_built_once(monkeypatch):
     m = MeasureSpec.power_law(3.0)
-    density = MeasureSpec.density
+    density = MeasureSpec._raw_density
     sizes = []
 
     def counting(self, x):
         sizes.append(np.size(x))
         return density(self, x)
 
-    monkeypatch.setattr(MeasureSpec, "density", counting)
+    monkeypatch.setattr(MeasureSpec, "_raw_density", counting)
     table = m._cdf_table
     for t in (0.01, 0.3, 0.5, 0.8):
         m.cdf(m.quantile(t))
@@ -359,7 +394,7 @@ def test_bumped_gaussian_table_splits_at_breakpoints(monkeypatch):
         assert abs(m.quantile(m.cdf(x)) - x) <= 1e-15
     # a level next to a mollifier edge costs a few density calls, not the
     # dozens an adaptive panel takes
-    density = MeasureSpec.density
+    density = MeasureSpec._raw_density
     calls = []
 
     def counting(self, x):
@@ -367,7 +402,7 @@ def test_bumped_gaussian_table_splits_at_breakpoints(monkeypatch):
         return density(self, x)
 
     levels = [m.cdf(x + d) for x in bump.breakpoints for d in (-1e-3, 1e-6)]
-    monkeypatch.setattr(MeasureSpec, "density", counting)
+    monkeypatch.setattr(MeasureSpec, "_raw_density", counting)
     for t in levels:
         m.quantile(t)
     assert len(calls) <= 4 * len(levels)

@@ -39,6 +39,15 @@ def test_integrate_orientation_and_degenerate():
     assert integrate(lambda x: x, 2.0, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                  (math.inf, math.inf), (0.0, math.nan)])
+def test_integrate_rejects_non_finite_bounds(a, b):
+    def f(x):
+        raise AssertionError("the integrand must not be called")
+    with pytest.raises(DomainError, match="finite"):
+        integrate(f, a, b)
+
+
 def test_integrate_kink_points():
     # |x| integrates exactly once the kink is declared
     val = integrate(lambda x: np.abs(x), -1.0, 2.0, points=(0.0,))

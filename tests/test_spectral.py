@@ -88,7 +88,7 @@ def test_truncation_extrapolation_model():
     # at fixed truncation b the logistic eigenvalue sits near 1/4 + (pi/2b)^2
     m = MeasureSpec.logistic()
     for b in (20.0, 40.0):
-        lam_b = _gap_single(m, b, 4001).value
+        lam_b = _gap_single(m, b, 4001)[1].value
         model = 0.25 + (math.pi / (2 * b)) ** 2
         assert abs(lam_b - model) < 2e-5
 
@@ -96,7 +96,7 @@ def test_truncation_extrapolation_model():
 def test_mesh_convergence_monotone():
     m = MeasureSpec.logistic()
     limit = 0.25 + (math.pi / 80.0) ** 2
-    errs = [abs(_gap_single(m, 40.0, n).value - limit)
+    errs = [abs(_gap_single(m, 40.0, n)[1].value - limit)
             for n in (501, 1001, 2001)]
     assert errs[0] > errs[1] > errs[2]
 
@@ -160,7 +160,7 @@ def test_small_gap_matches_tight_bisection():
         prob.diag * s * s, prob.off * s[:-1] * s[1:], select="i",
         select_range=(1, 1), eigvals_only=True, tol=1e-300)[0]
     assert 1e-4 < ref < 1e-3
-    assert abs(_gap_single(m, b, n).value - ref) <= 2e-7 * ref
+    assert abs(_gap_single(m, b, n)[1].value - ref) <= 2e-7 * ref
 
 
 def test_power_law_gap_in_remark_bracket():
@@ -222,9 +222,9 @@ def _gap_and_solves(monkeypatch, m, warm):
     solves = []
 
     def single(m, b, n, coarse=None):
-        res = _gap_single(m, b, n, coarse if warm else None)
-        solves.append(res.solves)
-        return res
+        out = _gap_single(m, b, n, coarse if warm else None)
+        solves.append(out[1].solves)
+        return out
 
     monkeypatch.setattr(spectral, "_gap_single", single)
     return spectral._spectral_gap.__wrapped__(m, GapOptions()), sum(solves)
@@ -292,7 +292,7 @@ def test_odd_parity_matches_gap():
     grid = Grid.symmetric_grid(8.0, 1601)
     w = m.density(grid.nodes())
     res = solve_smallest(assemble(w, w, grid, constraint_weight=w))
-    assert abs(res.value - _gap_single(m, 8.0, 1601).value) < 1e-8
+    assert abs(res.value - _gap_single(m, 8.0, 1601)[1].value) < 1e-8
     v = res.eigenvector
     assert np.max(np.abs(v + v[::-1])) < 1e-8
 
@@ -506,34 +506,55 @@ def test_solver_matches_dense_reference():
             assert res.lower_bound <= res.value
 
 
-def _mp_eigenvalues(prob):
-    """Eigenvalues of the pencil (A, M), M diagonal, at 30 digits: those of
-    M^(-1/2) A M^(-1/2) built from the same double entries, ascending."""
+def _mp_eigenvalue(prob, k):
+    """The (k + 1)-th smallest eigenvalue of the pencil (A, M), M diagonal,
+    at 30 digits: bisection on the Sturm count of M^(-1/2) A M^(-1/2),
+    built from the same double entries, from its Gershgorin interval."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         s = [1 / mpmath.sqrt(mpmath.mpf(float(m))) for m in prob.mass_diag]
-        n = len(s)
-        b = mpmath.zeros(n, n)
-        for i in range(n):
-            b[i, i] = mpmath.mpf(float(prob.diag[i])) * s[i] * s[i]
-        for i in range(n - 1):
-            b[i, i + 1] = b[i + 1, i] = mpmath.mpf(float(prob.off[i])) * s[i] * s[i + 1]
-        return sorted(float(e) for e in mpmath.eigsy(b, eigvals_only=True))
+        a = [mpmath.mpf(float(d)) * si * si for d, si in zip(prob.diag, s)]
+        off = [abs(mpmath.mpf(float(e)) * s[i] * s[i + 1])
+               for i, e in enumerate(prob.off)]
+        b2 = [e * e for e in off]
+        radius = [x + y for x, y in zip([0, *off], [*off, 0])]
+
+        def below(x):
+            """The eigenvalues below x: the negative pivots of T - x."""
+            count, d = 0, a[0] - x
+            for i in range(len(a)):
+                if i:
+                    d = a[i] - x - b2[i - 1] / d
+                if d == 0:
+                    d = mpmath.mpf(10) ** -60
+                count += d < 0
+            return count
+
+        lo = min(x - r for x, r in zip(a, radius))
+        hi = max(x + r for x, r in zip(a, radius))
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            if below(mid) > k:
+                hi = mid
+            else:
+                lo = mid
+        return float((lo + hi) / 2)
 
 
-@pytest.mark.parametrize("n", [21, 41])
+@pytest.mark.parametrize("n", [21, 41, 201])
 @pytest.mark.parametrize("seed", [5, 6])
 def test_solver_matches_mpmath_eigenvalues(seed, n):
-    # a shifted pencil's smallest eigenvalue, and the mean-constrained
-    # minimum of (w, w), which is the pencil's second eigenvalue: the
-    # constraint removes the constant null mode
+    # a shifted pencil's smallest eigenvalue, its shift mass not its mass,
+    # and the mean-constrained minimum of (w, w), which is the pencil's
+    # second eigenvalue: the constraint removes the constant null mode
     rng = np.random.default_rng(seed)
     grid = Grid.symmetric_grid(rng.uniform(1.0, 5.0), n)
-    w = np.exp(rng.normal(0.0, 1.0, n))
-    mass = np.exp(rng.normal(0.0, 1.0, n))
-    for prob, k in ((assemble(w, mass, grid, shift=rng.uniform(0.1, 3.0)), 0),
+    w, mass, shift_mass = np.exp(rng.normal(0.0, 1.0, (3, n)))
+    shifted = assemble(w, mass, grid, shift=rng.uniform(0.1, 3.0),
+                       shift_mass_weight=shift_mass)
+    for prob, k in ((shifted, 0),
                     (assemble(w, w, grid, constraint_weight=w), 1)):
-        ref = _mp_eigenvalues(prob)[k]
+        ref = _mp_eigenvalue(prob, k)
         res = solve_smallest(prob)
         assert abs(res.value - ref) <= 1e-12 * ref
         assert res.lower_bound <= ref
