@@ -24,7 +24,7 @@ from .errors import HypothesisViolated, InfeasibleBasis, NonEvenBump
 from .halfspace import boundary_density
 from .measures import BumpFunction, MeasureSpec
 from .numerics import _WH, _XH, Grid, _composite_nodes
-from .spectral import GapOptions, assemble, check_P1, solve_smallest, spectral_gap
+from .spectral import assemble, check_P1, solve_smallest, spectral_gap
 
 # Gauss panels per interval between bump breakpoints: the atoms are not
 # analytic at their ends, and 16 panels leave 1e-14 relative errors there
@@ -158,7 +158,7 @@ def eigen_curves(bump: BumpFunction, eps: float) -> tuple[float, float, float]:
     """
     measure = MeasureSpec.gaussian_bump(eps, bump) if eps else \
         MeasureSpec.gaussian(1.0)
-    lam = spectral_gap(measure, GapOptions(n=_CURVE_NODES))
+    lam = spectral_gap(measure)
 
     grid = Grid.symmetric_grid(_CURVE_HALF_WIDTH, _CURVE_NODES)
     nu, theta = boundary_density(measure, -1, 0.0, grid)

@@ -15,11 +15,11 @@ pivot.  The 2-D oracle's pencil is an ``EigenProblem`` too, once fast
 diagonalization in one factor splits it into tridiagonal blocks, whose
 zero couplings the same pass goes through; its solve starts from the
 lower ends of the 1-D brackets of P1 and P2, which its own count checks.
-The spectral gap is the same solver's mean-constrained eigenvalue, so it
-carries the same certificate, and is memoized per (measure, options).
-Each of its meshes after the first starts from a coarser mesh's
-eigenvector, which changes the work and never the certificate, and every
-mesh weights by the unnormalized density, to which the quotient is blind.
+The spectral gap is the same solver's mean-constrained eigenvalue, at two
+meshes on one interval, the finer started from the coarser's eigenvector,
+extrapolated in the mesh size and capped by the ground-state potential at
+the interval's ends, which is the gap for exponential-type tails; it is
+memoized per (measure, options).
 
 Also hosts the weighted-tensorization condition checks, whose values and
 zero-mass test do not change when the boundary density is scaled, a
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -411,37 +411,51 @@ def solve_smallest(problem: EigenProblem) -> EigenResult:
 
 @dataclass(frozen=True)
 class GapOptions:
+    """How ``spectral_gap`` discretizes: the truncation ``b`` (finite, > 0),
+    by default the half-width whose tails hold ``tail_mass``, and ``n`` (odd,
+    >= 3); the gap is solved on [-2b, 2b] at 2n - 1 and 4n - 3 nodes."""
+
     tail_mass: float = 1e-12
     n: int = 4001
     b: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.n < 3 or self.n % 2 == 0:
+            raise DomainError(f"gap mesh needs an odd n >= 3, got {self.n}")
+        if self.b is not None and not 0.0 < self.b < math.inf:
+            raise DomainError(f"gap truncation must be positive, got {self.b}")
 
 
 def _gap_single(m, b: float, n: int,
                 coarse: tuple[np.ndarray, EigenResult] | None = None
                 ) -> tuple[np.ndarray, EigenResult]:
     """The gap's pencil on ``Grid.symmetric_grid(b, n)``, solved: the
-    cropped grid's nodes and the result on them.
-
-    The solve starts from the coordinate, or from the eigenvector of
-    ``coarse``, an earlier mesh's return value, interpolated onto these
-    nodes and held at its end values beyond them.  The start changes only
-    the work: the value still comes from a shift that passed the count.
-    """
+    cropped grid's nodes and the result on them.  The solve starts from the
+    coordinate, or from the eigenvector of ``coarse``, an earlier mesh's
+    return value, interpolated onto these nodes and held at its end values
+    beyond them; the start changes only the work, not the certificate."""
     grid = Grid.symmetric_grid(b, n)
     # the gap is a Rayleigh quotient with w in both forms, so w need not be
     # normalized: the raw density scaled to peak 1 skips the CDF table that
     # normalizes the kinds without a closed-form mass
     psi = m._raw_psi(grid.nodes())[0]
     w = np.exp(psi - np.max(psi))
-    # drop only the tails where the density underflows outright, so that the
-    # grid keeps spanning the b and 2b the Richardson model assumes; the
-    # solver's equilibrated factor takes any representable dynamic range
+    # drop only the tails where the density underflows outright, so that
+    # b, not the floor, sets the truncation; the solver's equilibrated
+    # factor takes any representable dynamic range
     sub, w = _crop_support(w, grid, floor=1e-290)
     x = sub.nodes()
     y = x if coarse is None else np.interp(x, coarse[0], coarse[1].eigenvector)
     # with mass = stiffness weight the mean constraint removes exactly the
     # constant null mode, so the constrained minimum is the gap
-    return x, _shift_invert(assemble(w, w, sub, constraint_weight=w), y)
+    pencil = assemble(w, w, sub, constraint_weight=w)
+    res = _shift_invert(pencil, y)
+    u = res.eigenvector
+    # the value as the edge sum -off (du)^2, which is u^T A u exactly since
+    # A 1 = 0 and does not cancel: y . A y loses about eps |A| / gap, 1e-11
+    # relative on a fine mesh, in a way that moves with the BLAS threads
+    return x, replace(res, value=float(-pencil.off @ np.diff(u) ** 2
+                                       / (pencil.mass_diag @ (u * u))))
 
 
 _GAP_MEMO_SIZE = 128    # (measure, options) pairs whose gaps are kept
@@ -450,20 +464,22 @@ _GAP_MEMO_SIZE = 128    # (measure, options) pairs whose gaps are kept
 def spectral_gap(m, opts: GapOptions | None = None) -> float:
     """Best Poincare constant of the measure.
 
-    Solved on the truncated line; Richardson-extrapolated in the mesh size
-    and in the truncation length.  The latter matters for measures whose
-    continuous spectrum starts at the gap (exponential-type tails), where
-    the truncated eigenvalue converges only like 1/b^2.  Of the four meshes
-    this takes, (b, n), (b, 2n - 1), (2b, 2n - 1) and (2b, 4n - 3), each
-    after the first starts from a coarser one's eigenvector; the weight is
-    the density up to a constant, so no measure is normalized for its gap.
+    Solved on [-2b, 2b] (see ``GapOptions``) at 2n - 1 nodes, then at
+    4n - 3 from that eigenvector, and Richardson-extrapolated in the mesh
+    size; the weight is the density up to a constant, so no measure is
+    normalized.  The gap is at most the bottom of the essential spectrum,
+    lim inf W at infinity of the ground-state potential W = psi'^2/4 +
+    psi''/2 (Bakry, Gentil and Ledoux 2014, section 4.9), so the result is
+    capped by W at the fine mesh's ends.  That assumes W has settled beyond
+    2b, or stays above the gap there, as for every built-in kind: the cap
+    gives the logistic and exponential tails their 1/4, which the truncated
+    eigenvalue exceeds by about (pi / 4b)^2, and superlinear tails never
+    reach it.
 
-    The gap depends on the measure and the options alone, so it is
-    memoized per (measure, options) pair: equal pairs share one entry, and
-    ``None`` stands for ``GapOptions()``.  The memo keeps the 128 most
-    recently used pairs.  A measure that cannot be hashed, such as a
-    custom one whose potential defines ``__eq__`` without ``__hash__``,
-    is computed on every call.
+    Memoized per (measure, options), ``None`` standing for ``GapOptions()``,
+    for the 128 most recently used pairs; a measure that cannot be hashed,
+    such as a custom one whose potential defines ``__eq__`` without
+    ``__hash__``, is computed on every call.
     """
     if opts is None:
         opts = GapOptions()
@@ -477,29 +493,11 @@ def spectral_gap(m, opts: GapOptions | None = None) -> float:
 @functools.lru_cache(maxsize=_GAP_MEMO_SIZE)
 def _spectral_gap(m, opts: GapOptions) -> float:
     b = opts.b if opts.b is not None else m.truncation_interval(opts.tail_mass)[1]
-    lam_b, lam_2b = _truncated_gaps(m, b, opts.n)
-    # model gap(b) = L + A/b^2
-    return (4.0 * lam_2b - lam_b) / 3.0
-
-
-def _truncated_gaps(m, b: float, n: int) -> tuple[float, float]:
-    """The gaps truncated at b and at 2b, each Richardson-extrapolated in
-    the mesh size from n and 2n - 1 nodes over [-b, b] (the same spacing and
-    the same halving over [-2b, 2b]).
-
-    Each mesh after the first starts from a coarser mesh's eigenvector
-    (nested iteration; Bornemann and Deuflhard, Numer. Math. 75, 1996).
-    (b, 2n - 1) and (2b, 2n - 1) start from (b, n): the first keeps every
-    other node, the second the spacing and [-b, b] nested in it, and
-    (2b, 4n - 3) starts from (2b, 2n - 1).
-    """
-    h = _gap_single(m, b, n)
-    h2 = _gap_single(m, b, 2 * n - 1, h)
-    h_2b = _gap_single(m, 2 * b, 2 * n - 1, h)
-    h2_2b = _gap_single(m, 2 * b, 4 * n - 3, h_2b)
-    lam_b = h2[1].value + (h2[1].value - h[1].value) / 3.0
-    lam_2b = h2_2b[1].value + (h2_2b[1].value - h_2b[1].value) / 3.0
-    return lam_b, lam_2b
+    coarse = _gap_single(m, 2.0 * b, 2 * opts.n - 1)
+    x, fine = _gap_single(m, 2.0 * b, 4 * opts.n - 3, coarse)
+    lam = fine.value + (fine.value - coarse[1].value) / 3.0
+    _, dpsi, ddpsi = m._raw_psi(x[[0, -1]])
+    return min(lam, float(np.min(dpsi * dpsi / 4.0 + ddpsi / 2.0)))
 
 
 # ---------------------------------------------------------------------------

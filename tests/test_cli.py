@@ -352,6 +352,17 @@ def test_computation_error_exit_1(capsys):
     assert "DomainError" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectral-gap", "--grid-n", "4"],
+    ["spectral-gap", "--grid-n", "2"],
+    ["stable", "--halfspace", "coordinate:0.5", "--grid-n", "4"],
+])
+def test_gap_mesh_must_be_odd_and_at_least_3(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "DomainError" in err
+
+
 def test_bad_halfspace_spec(capsys):
     code, _, err = run(capsys, "stable", "--measure", "logistic",
                        "--halfspace", "diagonal")

@@ -297,12 +297,13 @@ def test_coordinate_stable_region_agrees_with_the_verdict(m):
 
 def test_bumped_region_ends_are_pinned():
     # the five intervals where the bumped Gaussian's -psi'' stays below its
-    # gap, as the scalar per-crossing bisection found them
-    pinned = [(-1.749153394072834, -1.4260601098938275),
-              (-1.1644076185591974, -0.2292868492788182),
-              (-0.04158256251688114, 0.04158256251688114),
-              (0.2292868492788182, 1.1644076185591974),
-              (1.4260601098938275, 1.749153394072834)]
+    # gap; the ends follow the gap, so a change of about 1e-11 in it moves
+    # them by about 2e-12 relative
+    pinned = [(-1.7491533940730566, -1.426060109893747),
+              (-1.1644076185594643, -0.2292868492786611),
+              (-0.04158256251697684, 0.04158256251697684),
+              (0.2292868492786611, 1.1644076185594643),
+              (1.426060109893747, 1.7491533940730566)]
     region = coordinate_stable_region(_REGION_MEASURES[-1])
     assert np.allclose(region, pinned, rtol=1e-12, atol=0.0)
 
