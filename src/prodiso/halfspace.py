@@ -372,12 +372,14 @@ def boundary_measure(measures: list[MeasureSpec], hs: HalfSpace) -> float:
 
     Equals the density of the projection sum_i v_i X_i at the offset t:
     coordinate directions use the factor density directly, the others
-    invert the product spectrum at t itself (``numerics.Spectrum.inversion``).
+    invert the product spectrum at t itself (``numerics.Spectrum.inversion``),
+    over a period widened to hold t where t lies beyond the sum's reach.
     """
     _require_dim(measures, hs)
     active = hs.nonzero
     if len(active) == 1:
         i = active[0]
         return float(measures[i].density(hs.t / hs.v[i]) / abs(hs.v[i]))
-    spectrum = _convolve([(measures[i], hs.v[i]) for i in active], _PROJECTION_H)
+    spectrum = _convolve([(measures[i], hs.v[i]) for i in active],
+                         _PROJECTION_H, point=hs.t)
     return max(0.0, spectrum.inversion()(hs.t)[1])

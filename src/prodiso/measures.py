@@ -430,7 +430,10 @@ class MeasureSpec:
         """Closed-form characteristic function E[exp(i w X)] at ``w``, or
         None for the kinds that have none: pi w / sinh(pi w) (logistic),
         exp(-sigma^2 w^2 / 2) (Gaussian), 1 / (1 + w^2) (two-sided
-        exponential); all three are real."""
+        exponential).  All three are real, even and nonincreasing in |w| up
+        to a few ulps of rounding (and the logistic's subnormal tail), which
+        ``numerics._convolve`` relies on: once |phi| is at or below half its
+        floor at some |w|, it stays below the floor at every larger |w|."""
         w = np.asarray(w, dtype=float)
         if self.kind == "logistic":
             x = np.pi * np.abs(w)

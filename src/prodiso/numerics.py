@@ -3,13 +3,16 @@
 Densities of weighted sums of independent factors come from one pipeline.
 ``_convolve`` multiplies the factors' characteristic functions on one
 frequency grid: a closed form where the kind has one, else the FFT of the
-density sampled at a common spacing.  It checks that the period holds the
-sum, and ``Spectrum.inversion`` is the one reader of the density and the
-CDF of the sum, or of n copies of it, for every caller.
+density sampled at a common spacing.  A closed form decays monotonically,
+so the grid ends where the first closed form falls to the floor of the
+inversion sums.  It checks that the period holds the sum, and
+``Spectrum.inversion`` is the one reader of the density and the CDF of the
+sum, or of n copies of it, for every caller.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -46,6 +49,7 @@ _MAX_DEPTH = 50     # bisections of one panel before integrate gives up
 _NEWTON_STEPS = 60  # evaluations of one bracketed Newton solve
 _WRAP_TOL = 1e-10    # density half a period from the mean, relative to it
 _PHI_FLOOR = 1e-17   # |phi| below this is negligible in the inversion sums
+_STRIDE = 16         # frequencies between the probes of a closed-form phi
 
 
 def _panel(f, a: float, b: float) -> tuple[float, float]:
@@ -214,6 +218,7 @@ def tabulate(m, g: Grid) -> TabulatedDensity:
     return TabulatedDensity(g, np.asarray(m.density(g.nodes()), dtype=float))
 
 
+@functools.lru_cache(maxsize=1024)
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n: numpy.fft's radix-2, 3 and 5 lengths,
     never more than the next power of two and often far less."""
@@ -271,33 +276,52 @@ class Spectrum(NamedTuple):
         return at
 
 
-def _convolve(factors, h: float, copies: int = 1) -> Spectrum:
+def _convolve(factors, h: float, copies: int = 1,
+              point: float | None = None) -> Spectrum:
     """Spectrum of the sum of v X over independent (measure, v) factors, at
-    w_k = k pi / R up to the Nyquist frequency pi / h, cut after the last
-    |phi| > _PHI_FLOOR, with R = h / 2 times an FFT length that covers
-    ``_reach`` of ``copies`` independent copies of the sum.  A factor's phi
-    is its closed form at v w where the kind has one, else the normalized
-    FFT of f(x / v) sampled on the symmetric grid of spacing h that covers
-    |v| times its 1e-12 truncation, as point masses.  Raises GridTooNarrow
-    unless the density of the copies half a period from their mean stays
-    below _WRAP_TOL of its value at the mean.
+    w_k = k pi / R from pi / R on, cut after the last |phi| > _PHI_FLOOR,
+    with R = h / 2 times an FFT length that covers ``_reach`` of ``copies``
+    independent copies of the sum and, if given, ``point`` (the inversion
+    reads the 2R-periodic wrap, so a point outside the period would read
+    the sum's bulk; the work grows with the distance).
+
+    A factor's phi is its closed form at v w where the kind has one, else
+    the normalized FFT of f(x / v) sampled on the symmetric grid of spacing
+    h that covers |v| times its 1e-12 truncation, as point masses, up to
+    the Nyquist frequency pi / h.  A closed form is first probed at every
+    ``_STRIDE``-th frequency: its |phi| falls with |w| and every factor's
+    is at most 1, so from the first probe at or below half the floor on
+    the product stays below the floor, and that factor and every later one
+    are evaluated only up to that probe.  The cut is the one the full
+    range would give, and so is every value before it.
+    Raises GridTooNarrow unless the density of the copies half a period
+    from their mean stays below _WRAP_TOL of its value at the mean.
     """
     size = _fft_length(2 * math.ceil(_reach(factors * copies) / h) + 1)
+    if point is not None:
+        off = abs(point - copies * sum(v * m.mean for m, v in factors))
+        if off > 0.5 * size * h:
+            size = _fft_length(2 * math.ceil(off / h) + 1)
     half = 0.5 * size * h
     w = np.arange(1, size // 2 + 1) * (math.pi / half)
     weight = np.full(len(w), 2.0)
     if size % 2 == 0:
         weight[-1] = 1.0
-    phi, mean = 1.0, 0.0
+    phi, mean = np.ones(len(w)), 0.0
     for m, v in factors:
-        closed = m.characteristic(v * w)
-        if closed is not None:
-            phi, mean = phi * closed, mean + v * m.mean
+        probe = m.characteristic(v * w[::_STRIDE])
+        if probe is not None:
+            # half the floor leaves room for the rounding of a closed form
+            low = np.flatnonzero(np.abs(probe) <= 0.5 * _PHI_FLOOR)
+            if len(low):
+                k = _STRIDE * low[0] + 1
+                w, weight, phi = w[:k], weight[:k], phi[:k]
+            phi, mean = phi * m.characteristic(v * w), mean + v * m.mean
             continue
         x = Grid.covering(abs(v) * m.truncation_interval(1e-12)[1], h).nodes()
         vals = m.density(x / v)
         spec = np.fft.rfft(vals, size)
-        phi = phi * np.exp(1j * w * x[0]) * np.conj(spec[1:]) / spec[0].real
+        phi = phi * np.exp(1j * w * x[0]) * np.conj(spec[1:len(w) + 1]) / spec[0].real
         mean += float(x @ vals / vals.sum())
     # R holds 7 standard deviations, so |phi(w_1)| >= 1 - (pi / 7)^2 / 2
     n = np.flatnonzero(np.abs(phi) > _PHI_FLOOR)[-1] + 1

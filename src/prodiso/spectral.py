@@ -459,6 +459,7 @@ def _gap_single(m, b: float, n: int,
 
 
 _GAP_MEMO_SIZE = 128    # (measure, options) pairs whose gaps are kept
+_GAP_STEP_TOL = 1e-2    # largest Richardson step, relative to the gap
 
 
 def spectral_gap(m, opts: GapOptions | None = None) -> float:
@@ -467,11 +468,16 @@ def spectral_gap(m, opts: GapOptions | None = None) -> float:
     Solved on [-2b, 2b] (see ``GapOptions``) at 2n - 1 nodes, then at
     4n - 3 from that eigenvector, and Richardson-extrapolated in the mesh
     size; the weight is the density up to a constant, so no measure is
-    normalized.  The gap is at most the bottom of the essential spectrum,
-    lim inf W at infinity of the ground-state potential W = psi'^2/4 +
-    psi''/2 (Bakry, Gentil and Ledoux 2014, section 4.9), so the result is
-    capped by W at the fine mesh's ends.  That assumes W has settled beyond
-    2b, or stays above the gap there, as for every built-in kind: the cap
+    normalized.  Raises NoConvergence when the extrapolated value is not
+    positive or its step, (fine - coarse) / 3, exceeds 1e-2 of it: the
+    built-in kinds take steps below 1e-6 of the gap at the default n and
+    below 1e-4 at n = 401, and above 1e-2 at n = 5.
+
+    The gap is at most the bottom of the essential spectrum, lim inf W at
+    infinity of the ground-state potential W = psi'^2/4 + psi''/2 (Bakry,
+    Gentil and Ledoux 2014, section 4.9), so the result is capped by W at
+    the fine mesh's ends.  That assumes W has settled beyond 2b, or stays
+    above the gap there, as for every built-in kind: the cap
     gives the logistic and exponential tails their 1/4, which the truncated
     eigenvalue exceeds by about (pi / 4b)^2, and superlinear tails never
     reach it.
@@ -495,7 +501,12 @@ def _spectral_gap(m, opts: GapOptions) -> float:
     b = opts.b if opts.b is not None else m.truncation_interval(opts.tail_mass)[1]
     coarse = _gap_single(m, 2.0 * b, 2 * opts.n - 1)
     x, fine = _gap_single(m, 2.0 * b, 4 * opts.n - 3, coarse)
-    lam = fine.value + (fine.value - coarse[1].value) / 3.0
+    step = (fine.value - coarse[1].value) / 3.0
+    lam = fine.value + step
+    if not lam > 0.0 or abs(step) > _GAP_STEP_TOL * lam:
+        raise NoConvergence(
+            f"gap meshes of {2 * opts.n - 1} and {4 * opts.n - 3} nodes "
+            f"extrapolate to {lam:g} by a step of {step:g}; refine the mesh")
     _, dpsi, ddpsi = m._raw_psi(x[[0, -1]])
     return min(lam, float(np.min(dpsi * dpsi / 4.0 + ddpsi / 2.0)))
 

@@ -346,6 +346,13 @@ def test_flags_a_command_does_not_read_exit_64(argv, capsys):
     assert exc.value.code == 64
 
 
+def test_gap_of_a_too_coarse_mesh_exits_1(capsys):
+    code, out, err = run(capsys, "spectral-gap", "--measure", "logistic",
+                         "--grid-n", "5")
+    assert code == 1 and out == ""
+    assert "NoConvergence" in err
+
+
 def test_computation_error_exit_1(capsys):
     code, _, err = run(capsys, "spectral-gap", "--measure", "nope")
     assert code == 1

@@ -454,6 +454,18 @@ def _random_gaussian_offsets():
     return cases
 
 
+@pytest.mark.parametrize("t", [13.0, 20.0, 25.0, 40.0])
+def test_boundary_measure_far_offset_is_not_read_from_the_wrap(t):
+    # the spectrum's period holds t, so no alias of the bulk lands there
+    val = boundary_measure([GAUSSIAN, GAUSSIAN], HalfSpace((0.6, 0.8), t))
+    assert abs(val - math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)) <= 1e-16
+
+
+def test_boundary_measure_far_offset_of_two_logistics():
+    for t in (60.0, -60.0):
+        assert boundary_measure([LOGISTIC, LOGISTIC], HalfSpace((0.6, 0.8), t)) <= 1e-16
+
+
 @pytest.mark.parametrize("v, t", _random_gaussian_offsets())
 def test_boundary_measure_off_the_centre_is_a_node_value(v, t):
     # a unit combination of standard Gaussians is standard Gaussian; the

@@ -1,4 +1,5 @@
-"""Quadrature, grids, tabulated densities and FFT lengths."""
+"""Quadrature, grids, tabulated densities, FFT lengths and the spectra of
+sums."""
 
 import math
 
@@ -8,11 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodiso.errors import DomainError
-from prodiso.measures import MeasureSpec
+from prodiso.halfspace import HalfSpace, boundary_measure
+from prodiso.measures import BumpFunction, MeasureSpec
 from prodiso.numerics import (
+    _PHI_FLOOR,
     Grid,
     TabulatedDensity,
+    _convolve,
     _fft_length,
+    _reach,
     integrate,
     tabulate,
 )
@@ -107,3 +112,91 @@ def test_fft_length_is_the_next_5_smooth(n):
     # the smallest 5-smooth length >= n, from a table of all of them
     assert size == next(k for k in _SMOOTH if k >= n)
     assert size <= 1 << (n - 1).bit_length()
+
+
+_CLOSED = [MeasureSpec.logistic(), MeasureSpec.gaussian(1.0),
+           MeasureSpec.gaussian(0.37), MeasureSpec.two_sided_exponential()]
+_SAMPLED = [MeasureSpec.power_law(3.0), MeasureSpec.gaussian_bump(
+    0.3, BumpFunction((1.0, -0.5), (0.0, 1.2), (0.8, 0.5)))]
+
+
+@settings(deadline=None, derandomize=True)
+@given(k=st.integers(0, len(_CLOSED) - 1),
+       v=st.floats(0.01, 5.0), sign=st.sampled_from((1.0, -1.0)),
+       top=st.floats(1e-6, 1e3))
+def test_closed_form_phi_does_not_rise_with_frequency(k, v, sign, top):
+    # _convolve cuts a closed form at its first probe below half the floor,
+    # which needs |phi(v w)| nonincreasing in w >= 0 up to a few ulps (and
+    # the logistic's subnormal tail, far below the floor)
+    w = np.linspace(0.0, top, 4001)
+    a = np.abs(_CLOSED[k].characteristic(sign * v * w))
+    assert np.all(a[1:] <= a[:-1] * (1.0 + 8.0 * np.finfo(float).eps) + 1e-300)
+
+
+def _full_range(factors, h, copies):
+    """The spectrum with every factor evaluated at every frequency up to the
+    Nyquist frequency, cut after the last |phi| > floor."""
+    size = _fft_length(2 * math.ceil(_reach(factors * copies) / h) + 1)
+    half = 0.5 * size * h
+    w = np.arange(1, size // 2 + 1) * (math.pi / half)
+    weight = np.full(len(w), 2.0)
+    if size % 2 == 0:
+        weight[-1] = 1.0
+    phi, mean = 1.0, 0.0
+    for m, v in factors:
+        closed = m.characteristic(v * w)
+        if closed is not None:
+            phi, mean = phi * closed, mean + v * m.mean
+            continue
+        x = Grid.covering(abs(v) * m.truncation_interval(1e-12)[1], h).nodes()
+        vals = m.density(x / v)
+        spec = np.fft.rfft(vals, size)
+        phi = phi * np.exp(1j * w * x[0]) * np.conj(spec[1:]) / spec[0].real
+        mean += float(x @ vals / vals.sum())
+    n = np.flatnonzero(np.abs(phi) > _PHI_FLOOR)[-1] + 1
+    return w[:n], weight[:n], phi[:n], mean, half
+
+
+@pytest.mark.parametrize("copies", [1, 16])
+def test_convolve_matches_the_full_range_spectrum_bitwise(copies):
+    rng = np.random.default_rng(27)
+    kinds = _CLOSED + _SAMPLED
+    for _ in range(10):
+        picks = rng.integers(0, len(kinds), int(rng.integers(2, 4)))
+        v = rng.standard_normal(len(picks))
+        factors = [(kinds[i], float(c)) for i, c in zip(picks, v / np.linalg.norm(v))]
+        h = float(rng.choice((0.005, 0.01)))
+        got, ref = _convolve(factors, h, copies), _full_range(factors, h, copies)
+        for a, b in zip(got[:3], ref[:3]):
+            assert np.array_equal(a, b)
+        assert got[3:] == ref[3:]
+
+
+def test_convolve_probes_a_closed_form_instead_of_every_frequency(monkeypatch):
+    # the logistic bisector keeps about 110 of its 6561 frequencies; each
+    # factor, probe and prefix together, must see fewer than an eighth of
+    # the 6561
+    m = MeasureSpec.logistic()
+    factors = [(m, 1.0 / math.sqrt(2.0)), (m, -1.0 / math.sqrt(2.0))]
+    size = _fft_length(2 * math.ceil(_reach(factors) / 0.005) + 1)
+    seen = []
+    closed = MeasureSpec.characteristic
+    monkeypatch.setattr(MeasureSpec, "characteristic",
+                        lambda self, w: seen.append(np.size(w)) or closed(self, w))
+    boundary_measure([m, m], HalfSpace.bisector(-1, 0.0))
+    assert len(seen) == 4
+    assert max(seen[0] + seen[1], seen[2] + seen[3]) < (size // 2) / 8
+
+
+def test_fft_length_is_memoized():
+    _fft_length(5081)
+    hits = _fft_length.cache_info().hits
+    assert _fft_length(5081) == 5120 and _fft_length.cache_info().hits == hits + 1
+
+
+def test_convolve_period_holds_the_point_it_is_read_at():
+    g = MeasureSpec.gaussian(1.0)
+    factors = [(g, 0.6), (g, 0.8)]
+    half = _convolve(factors, 0.005).half
+    assert _convolve(factors, 0.005, point=half).half == half
+    assert _convolve(factors, 0.005, point=-3.0 * half).half >= 3.0 * half

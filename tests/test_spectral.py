@@ -80,6 +80,16 @@ def test_gaussian_gap_scales_as_inverse_variance(sigma):
     assert abs(lam * sigma ** 2 - unit) <= 1e-11 * unit
 
 
+@pytest.mark.parametrize("m, n", [(MeasureSpec.gaussian(1.0), 3),
+                                  (MeasureSpec.logistic(), 5),
+                                  (MeasureSpec.power_law(3.0), 5)])
+def test_gap_of_a_too_coarse_mesh_is_refused(m, n):
+    # the extrapolated value is negative, or its Richardson step is over 1e-2
+    # of it, instead of being returned as a gap
+    with pytest.raises(NoConvergence):
+        spectral_gap(m, GapOptions(n=n))
+
+
 def test_logistic_gap():
     lam = spectral_gap(MeasureSpec.logistic())
     assert abs(lam - 0.25) <= np.spacing(0.25)
