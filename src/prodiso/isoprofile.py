@@ -59,7 +59,7 @@ def compute_c_maximizer() -> float:
     def minus_foc(u: float) -> tuple[float, float]:
         e = math.exp(-2.0 * u)
         return 1.0 - e - 4.0 * u * e, e * (8.0 * u - 2.0)
-    return _bracketed_newton(minus_foc, 0.25, 2.0, 0.5, 0.0)
+    return _bracketed_newton(minus_foc, 0.25, 2.0, 0.5, 0.0)[0]
 
 
 @functools.cache
@@ -97,7 +97,10 @@ def clt_upper_bound(m: MeasureSpec, t: float, n_max: int) -> list[float]:
     spectrum from ``numerics._convolve`` at the step _CLT_H, whose period
     is sized and checked for S_{n_max}.  y_N is found by bracketed Newton
     steps from the Gaussian guess sqrt(N) sigma Phi^{-1}(t) + N mu, with mu
-    the mean that the spectrum carries.  A kind with a closed-form phi
+    the mean that the spectrum carries.  f(y_N) is the density of the read
+    whose residual stopped Newton, so a guess that already holds costs one
+    read; y_N is read again only when a step or the bracket stopped Newton
+    at round-off instead.  A kind with a closed-form phi
     (logistic, Gaussian, two-sided exponential) is exact up to the
     inversion sums; for any other kind the sums are the discrete
     convolutions of its samples at the step _CLT_H, read by trigonometric
@@ -123,8 +126,8 @@ def clt_upper_bound(m: MeasureSpec, t: float, n_max: int) -> list[float]:
             return cdf - t, density
         lo, hi = n * mu - half, n * mu + half
         guess = min(max(math.sqrt(n) * sigma * z + n * mu, lo), hi)
-        y = _bracketed_newton(at, lo, hi, guess, _NEWTON_TOL)
-        vals.append(math.sqrt(n) * inversion(y)[1])
+        y, read = _bracketed_newton(at, lo, hi, guess, _NEWTON_TOL)
+        vals.append(math.sqrt(n) * (read or at(y))[1])
     return vals
 
 

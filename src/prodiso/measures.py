@@ -424,7 +424,8 @@ class MeasureSpec:
             return sign * (mass - target), fx
 
         x = lo + (target - masses[j]) / (masses[j + 1] - masses[j]) * (hi - lo)
-        return float(_bracketed_newton(residual, lo, hi, x, 4.0 * math.ulp(target)))
+        root, _ = _bracketed_newton(residual, lo, hi, x, 4.0 * math.ulp(target))
+        return float(root)
 
     def characteristic(self, w) -> np.ndarray | None:
         """Closed-form characteristic function E[exp(i w X)] at ``w``, or

@@ -7,7 +7,13 @@ density sampled at a common spacing.  A closed form decays monotonically,
 so the grid ends where the first closed form falls to the floor of the
 inversion sums.  It checks that the period holds the sum, and
 ``Spectrum.inversion`` is the one reader of the density and the CDF of the
-sum, or of n copies of it, for every caller.
+sum, or of n copies of it, for every caller.  The reader lays the K terms
+of a spectrum out once as a zero-padded A x B phase table, B = ceil(sqrt K):
+term k = a B + b + 1 has the phase exp(-i (b + 1) u) exp(-i a B u), u the
+frequency step times the point read.  For n copies it keeps every row up to
+the last that holds a term above the floor, the terms below the floor in
+those rows too, so a read costs at most B + A complex exponentials and two
+short contractions instead of K exponentials.
 """
 
 from __future__ import annotations
@@ -111,30 +117,32 @@ def _composite_nodes(cuts, panels: int, x: np.ndarray):
     return ends, c[:, None] + r[:, None] * x, r
 
 
-def _bracketed_newton(fun, lo: float, hi: float, x: float,
-                      tol: float) -> float:
+def _bracketed_newton(fun, lo: float, hi: float, x: float, tol: float):
     """Root in [lo, hi] of an increasing ``fun``, by Newton steps from x.
 
     ``fun(x)`` returns (value, derivative).  Every evaluation narrows the
     bracket, and a step that leaves it is replaced by bisection.  Stops when
     |value| <= tol or when the step or the bracket reaches round-off;
-    raises NoConvergence after 60 evaluations.
+    raises NoConvergence after 60 evaluations.  Returns the root and, when
+    the residual stopped it, the (value, derivative) already evaluated
+    there, else None (the root was not evaluated).
     """
     for _ in range(_NEWTON_STEPS):
-        val, der = fun(x)
+        read = fun(x)
+        val, der = read
         if abs(val) <= tol:
-            return x
+            return x, read
         if val > 0.0:
             hi = x
         else:
             lo = x
         nx = x - val / der if der > 0.0 else math.nan
         if abs(nx - x) <= 4.0 * math.ulp(x):
-            return nx
+            return nx, None
         if not lo < nx < hi:
             nx = 0.5 * (lo + hi)
         if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
-            return nx
+            return nx, None
         x = nx
     raise NoConvergence(f"Newton iteration did not converge in [{lo!r}, {hi!r}]")
 
@@ -242,16 +250,54 @@ def _reach(factors) -> float:
         + 7.0 * math.sqrt(sum(v * v * m.variance for m, v in factors))
 
 
-class Spectrum(NamedTuple):
-    """Characteristic function phi(w_k) of a sum at w_k = k pi / R, their
-    weights in the inversion sums (2, or 1 at an even FFT length's Nyquist
-    frequency), the mean that phi carries and the half-period R."""
+class _PhaseTable(NamedTuple):
+    """A spectrum's K terms laid out as an A x B rectangle, B = ceil(sqrt K)
+    and A = ceil(K / B): the term k = a B + b + 1 sits at row a, column b,
+    and the A B - K cells after the last term are zeros."""
 
+    coef: np.ndarray   # (2, A, B): weight_k and weight_k / w_k, as phi's type
+    phi: np.ndarray    # (A, B): phi(w_k)
+    tail: np.ndarray   # (K,): at j, the largest |phi| of the last j + 1 terms
+    steps: np.ndarray  # (B + A,): i (b + 1) for b < B, then i a B for a < A
+    readers: dict      # n -> the reader inversion(n) returned
+
+
+@functools.lru_cache(maxsize=256)
+def _phase_steps(b: int, a: int) -> np.ndarray:
+    """i (j + 1) for j < b, then i j b for j < a: the phase multiples of the
+    columns and rows of an a x b phase table (shared, so read-only)."""
+    steps = np.zeros(b + a, complex)
+    steps.imag[:b], steps.imag[b:] = np.arange(1, b + 1), np.arange(a) * b
+    steps.flags.writeable = False
+    return steps
+
+
+class _SpectrumFields(NamedTuple):
     w: np.ndarray
     weight: np.ndarray
     phi: np.ndarray
     mean: float
     half: float
+
+
+class Spectrum(_SpectrumFields):
+    """Characteristic function phi(w_k) of a sum at w_k = k pi / R, their
+    weights in the inversion sums (2, or 1 at an even FFT length's Nyquist
+    frequency), the mean that phi carries and the half-period R.  The phase
+    table and the reader of each n are built on first use and kept."""
+
+    @functools.cached_property
+    def _table(self) -> _PhaseTable:
+        """The phase table that every ``inversion`` reads, laid out once."""
+        k = len(self.w)
+        b = math.isqrt(k - 1) + 1
+        a = -(-k // b)
+        cells = np.zeros((3, a * b), self.phi.dtype)
+        cells[0, :k], cells[1, :k], cells[2, :k] = \
+            self.weight, self.weight / self.w, self.phi
+        cells = cells.reshape(3, a, b)
+        tail = np.maximum.accumulate(np.abs(self.phi[::-1]))
+        return _PhaseTable(cells[:2], cells[2], tail, _phase_steps(b, a), {})
 
     def inversion(self, n: int = 1):
         """x -> (F(x), f(x)) of the sum of n copies by Gil-Pelaez's sums
@@ -262,17 +308,38 @@ class Spectrum(NamedTuple):
             F(x) = 1/2 + dw/2pi (x - n mean
                                  - sum_k weight_k Im(exp(-i w_k x) phi(w_k)^n) / w_k),
 
-        with dw = pi / R, over the k where |phi(w_k)|^n > _PHI_FLOOR.
+        with dw = pi / R, read from the spectrum's phase table: term k sits
+        at row a, column b of an A x B rectangle, k - 1 = a B + b with
+        B = ceil(sqrt K), so exp(-i w_k x) = exp(-i (b + 1) u) exp(-i a B u)
+        with u = dw x rounded once.  The sums run over the rows up to the
+        last that holds a term with |phi(w_k)|^n > _PHI_FLOOR: every term of
+        those rows is kept, those below the floor too, and every later row
+        is dropped (with none left the read is the uniform density 1 / 2R).
+        Built once per n and spectrum, the (2, rows, B) table of the
+        coefficients times phi^n is contracted with the B column phases,
+        then the rows with the row phases; a read costs B + rows complex
+        exponentials and 2 rows B complex products, taken as ``np.vecdot``
+        dot products of B terms rather than as a matrix product, which a
+        threaded BLAS would spread over idle cores for no gain in wall time.
         """
-        keep = np.abs(self.phi) > _PHI_FLOOR ** (1.0 / n)
-        wk, re, pk = self.w[keep], self.weight[keep], self.phi[keep] ** n
-        im = re / wk
-        centre, scale = n * self.mean, 0.5 / self.half
+        t = self._table
+        if n in t.readers:
+            return t.readers[n]
+        cols = t.phi.shape[1]
+        floor = _PHI_FLOOR ** (1.0 / n)
+        last = len(self.w) - int(np.searchsorted(t.tail, floor, "right"))
+        rows = -(-last // cols)
+        table = (t.coef[:, :rows] * t.phi[:rows] ** n).astype(complex, copy=False)
+        steps = t.steps[:cols + rows]
+        centre, scale, dw = n * self.mean, 0.5 / self.half, float(self.w[0])
 
         def at(x: float) -> tuple[float, float]:
-            e = pk * np.exp(-1j * wk * x)
-            cdf = 0.5 + (x - centre - float(e.imag @ im)) * scale
-            return cdf, (1.0 + float(e.real @ re)) * scale
+            # vecdot conjugates its first argument, so z holds exp(+i k u)
+            z = np.exp(steps * (dw * x))
+            s = np.vecdot(z[cols:], np.vecdot(z[:cols], table))
+            cdf = 0.5 + (x - centre - float(s[1].imag)) * scale
+            return cdf, (1.0 + float(s[0].real)) * scale
+        t.readers[n] = at
         return at
 
 
@@ -304,18 +371,16 @@ def _convolve(factors, h: float, copies: int = 1,
             size = _fft_length(2 * math.ceil(off / h) + 1)
     half = 0.5 * size * h
     w = np.arange(1, size // 2 + 1) * (math.pi / half)
-    weight = np.full(len(w), 2.0)
-    if size % 2 == 0:
-        weight[-1] = 1.0
-    phi, mean = np.ones(len(w)), 0.0
+    phi, mean = np.ones(1), 0.0   # broadcasts against the first factor
     for m, v in factors:
         probe = m.characteristic(v * w[::_STRIDE])
         if probe is not None:
             # half the floor leaves room for the rounding of a closed form
-            low = np.flatnonzero(np.abs(probe) <= 0.5 * _PHI_FLOOR)
-            if len(low):
-                k = _STRIDE * low[0] + 1
-                w, weight, phi = w[:k], weight[:k], phi[:k]
+            low = np.abs(probe) <= 0.5 * _PHI_FLOOR
+            j = int(low.argmax())
+            if low[j]:
+                k = _STRIDE * j + 1
+                w, phi = w[:k], phi[:k]
             phi, mean = phi * m.characteristic(v * w), mean + v * m.mean
             continue
         x = Grid.covering(abs(v) * m.truncation_interval(1e-12)[1], h).nodes()
@@ -324,8 +389,11 @@ def _convolve(factors, h: float, copies: int = 1,
         phi = phi * np.exp(1j * w * x[0]) * np.conj(spec[1:len(w) + 1]) / spec[0].real
         mean += float(x @ vals / vals.sum())
     # R holds 7 standard deviations, so |phi(w_1)| >= 1 - (pi / 7)^2 / 2
-    n = np.flatnonzero(np.abs(phi) > _PHI_FLOOR)[-1] + 1
-    spectrum = Spectrum(w[:n], weight[:n], phi[:n], mean, half)
+    n = len(phi) - int((np.abs(phi[::-1]) > _PHI_FLOOR).argmax())
+    weight = np.full(n, 2.0)
+    if 2 * n == size:
+        weight[-1] = 1.0   # the Nyquist frequency
+    spectrum = Spectrum(w[:n], weight, phi[:n], mean, half)
     density = spectrum.inversion(copies)
     if density(copies * mean + half)[1] > _WRAP_TOL * density(copies * mean)[1]:
         raise GridTooNarrow(f"half-period {half:g} does not hold the sum")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodiso import numerics
+from prodiso import isoprofile, numerics
 from prodiso.errors import DomainError, GridTooNarrow, NotLogConcave
 from prodiso.isoprofile import (
     clt_upper_bound,
@@ -22,7 +22,7 @@ from prodiso.isoprofile import (
     tensor_lower_bound,
 )
 from prodiso.measures import BumpFunction, MeasureSpec
-from prodiso.numerics import _convolve
+from prodiso.numerics import Spectrum, _convolve
 
 LOGISTIC = MeasureSpec.logistic()
 GAUSSIAN = MeasureSpec.gaussian(1.0)
@@ -163,6 +163,28 @@ def test_sampled_spectrum_matches_the_closed_form(m, monkeypatch):
         diff = np.pad(sampled, (0, k - len(w_s))) - np.pad(phi, (0, k - len(w)))
         assert np.max(np.abs(diff)) < 1e-11
         assert abs(mu) < 1e-12
+
+
+def test_clt_trace_reads_each_sum_once(monkeypatch):
+    # after _convolve's two wrap-check reads of S_16, Newton's read at y_N
+    # gives f(y_N) too: one read per N at t = 1/2, where the guess holds
+    reads = []
+    inversion = Spectrum.inversion
+
+    def counted(self, n=1):
+        at = inversion(self, n)
+
+        def read(x):
+            reads.append((n, x))
+            return at(x)
+        return read
+    monkeypatch.setattr(Spectrum, "inversion", counted)
+    trace = clt_upper_bound(GAUSSIAN, 0.5, 16)
+    monkeypatch.undo()
+    assert [n for n, _ in reads] == [16, 16] + list(range(2, 17))
+    fresh = _convolve([(GAUSSIAN, 1.0)], isoprofile._CLT_H, 16)
+    for (n, y), val in zip(reads[2:], trace[1:]):
+        assert val == math.sqrt(n) * fresh.inversion(n)(y)[1]
 
 
 def test_clt_half_period_too_short_is_refused(monkeypatch):

@@ -200,3 +200,38 @@ def test_convolve_period_holds_the_point_it_is_read_at():
     half = _convolve(factors, 0.005).half
     assert _convolve(factors, 0.005, point=half).half == half
     assert _convolve(factors, 0.005, point=-3.0 * half).half >= 3.0 * half
+
+
+_READ_AT = (0.0, 0.37, -1.3, 2.9, 7.7, 15.1, 33.3)
+
+
+@pytest.mark.parametrize("m, ns", [(MeasureSpec.two_sided_exponential(), (2, 3)),
+                                   (MeasureSpec.logistic(), (1, 8))])
+def test_inversion_matches_the_finite_sums_in_extended_precision(m, ns):
+    # the same w, weight and double phi as the reader, summed at 40 digits
+    # over every term; the terms the reader drops are below the floor
+    mpmath = pytest.importorskip("mpmath")
+    spectrum = _convolve([(m, 1.0)], 0.01, 16)
+    with mpmath.workdps(40):
+        w = [mpmath.mpf(float(v)) for v in spectrum.w]
+        scale = 1 / (2 * mpmath.mpf(spectrum.half))
+        coef = {n: [float(a) * mpmath.mpf(float(p)) ** n
+                    for a, p in zip(spectrum.weight, spectrum.phi)] for n in ns}
+        for x in _READ_AT:
+            cos = [mpmath.cos(v * x) for v in w]
+            sin = [mpmath.sin(v * x) / v for v in w]
+            for n, c in coef.items():
+                density = scale * (1 + mpmath.fdot(c, cos))
+                cdf = 0.5 + scale * (x - n * spectrum.mean + mpmath.fdot(c, sin))
+                got = spectrum.inversion(n)(x)
+                assert abs(got[0] - cdf) <= 2.5e-16 and abs(got[1] - density) <= 2.5e-16
+
+
+def test_inversion_with_no_term_above_the_floor_is_uniform():
+    # |phi(w_1)|^n at or below the floor drops every row of the table
+    spectrum = _convolve([(MeasureSpec.logistic(), 1.0)], 0.01, 16)
+    n = 2 * math.ceil(math.log(_PHI_FLOOR) / math.log(abs(spectrum.phi[0])))
+    scale = 0.5 / spectrum.half
+    for x in _READ_AT:
+        cdf = 0.5 + (x - n * spectrum.mean) * scale
+        assert spectrum.inversion(n)(x) == (cdf, scale)
