@@ -293,7 +293,7 @@ def boundary_density(m: MeasureSpec, alpha: float, tau: float,
     s = y / math.sqrt(2.0)
     m._require_differentiable(s)
     psi, _, ddpsi = m._raw_psi(s)
-    log_nu = psi + m._raw_psi(tau - alpha * s)[0]
+    log_nu = psi + m._raw_log(tau - alpha * s)
     nu = np.exp(log_nu - np.max(log_nu))
     return nu, -ddpsi
 

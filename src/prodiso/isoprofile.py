@@ -20,34 +20,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotLogConcave
-from .measures import MeasureSpec, _ndtri
+from .measures import MeasureSpec, _ndtri, _ndtri_each
 from .numerics import _bracketed_newton, _convolve
 from .spectral import GapOptions, spectral_gap
 
 _CLT_H = 0.01          # sampling step of the kinds without a closed-form phi
 _NEWTON_TOL = 1e-15    # |F(y) - t| at which the quantile search stops
 _CLT_N_MAX = 128       # longest CLT trace
+_STANDARD_NORMAL = MeasureSpec.gaussian(1.0)
 
 
-def profile_1d(m: MeasureSpec, t: float) -> float:
-    """Isoperimetric profile I(t) = min density over the two t-half-lines."""
+def profile_1d(m: MeasureSpec, t):
+    """Isoperimetric profile I(t) = min density over the two t-half-lines,
+    at one level (a float) or at every level of an array (an array of its
+    shape).
+
+    I(0) = I(1) = 0.  Otherwise I(t) is t(1 - t) for the logistic and
+    phi(Phi^-1(t)) / sigma for a Gaussian; any other kind reads its density
+    at the quantiles, f(F^-1(t)) alone when the measure is symmetric, else
+    the smaller of f(F^-1(t)) and f(F^-1(1 - t)).  All levels go to one
+    ``quantile`` call, so an array of levels inverts the CDF table of a
+    tabulated kind in one batch, while a float takes the scalar search.
+    """
     if not m.is_log_concave:
         raise NotLogConcave("profile formula requires a log-concave measure")
-    if not 0.0 <= t <= 1.0:
+    ts = np.asarray(t, dtype=float)
+    if not ((ts >= 0.0) & (ts <= 1.0)).all():
         raise DomainError("profile argument must lie in [0, 1]")
-    if t == 0.0 or t == 1.0:
-        return 0.0
+    inner = (ts > 0.0) & (ts < 1.0)
+    s = np.where(inner, ts, 0.5)    # the end levels are read at 1/2, then zeroed
     if m.kind == "logistic":
-        return t * (1.0 - t)
-    if m.kind == "gaussian":
-        z = _ndtri(t)
-        return float(math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / m.sigma)
-    if m.symmetric:
+        one = s * (1.0 - s)
+    elif m.kind == "gaussian":
+        z = np.asarray(_ndtri_each(s), dtype=float)
+        one = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / m.sigma
+    elif m.symmetric:
         # f(F^{-1}(1 - t)) = f(F^{-1}(t)): one half-line suffices
-        return float(m.density(m.quantile(t)))
-    lo = m.density(m.quantile(t))
-    hi = m.density(m.quantile(1.0 - t))
-    return float(min(lo, hi))
+        one = m.density(m.quantile(s))
+    else:
+        one = np.min(m.density(m.quantile(np.stack([s, 1.0 - s]))), axis=0)
+    one = np.where(inner, one, 0.0)
+    return float(one) if ts.ndim == 0 else one
 
 
 def compute_c_maximizer() -> float:
@@ -150,21 +163,22 @@ class ProfileBounds:
 def profile_envelope(m: MeasureSpec, t_grid,
                      gap_options: GapOptions | None = None,
                      clt_n_max: int = 0) -> ProfileBounds:
-    """Envelope of the infinite-product profile over a grid of levels.
+    """Envelope of the infinite-product profile over a 1-D array of levels.
 
     one_dim is the 1-D profile (always an upper bound), lower the
     dimension-free spectral bound, upper the minimum of one_dim and the
-    Gaussian limit profile scaled by the standard deviation.
+    Gaussian limit profile scaled by the standard deviation.  Each profile
+    takes all the levels in one ``profile_1d`` call, so a tabulated kind's
+    CDF table is inverted once per envelope, in one batch of Newton steps.
     """
     ts = np.asarray(t_grid, dtype=float)
+    if ts.ndim != 1:
+        raise DomainError("levels must form a 1-D array")
     if np.any(ts < 0.0) or np.any(ts > 1.0):
         raise DomainError("levels must lie in [0, 1]")
-    sigma = math.sqrt(m.variance)
-    one = np.array([profile_1d(m, t) for t in ts])
+    one = profile_1d(m, ts)
     low = tensor_lower_bound(m, ts, gap_options)
-    gauss = np.array([0.0 if t in (0.0, 1.0) else
-                      math.exp(-0.5 * _ndtri(t) ** 2) / math.sqrt(2 * math.pi)
-                      / sigma for t in ts])
+    gauss = profile_1d(_STANDARD_NORMAL, ts) / math.sqrt(m.variance)
     up = np.minimum(one, gauss)
     trace: tuple[float, ...] = ()
     if clt_n_max > 0:

@@ -9,12 +9,16 @@ perturbation, and user-supplied potentials.
 Logistic, Gaussian and two-sided exponential measures have closed-form CDFs,
 quantiles and characteristic functions.  The other kinds share one cached
 two-sided CDF table per measure (``MeasureSpec._cdf_table``): Gauss panels
-on the interval outside which each tail holds less than 1e-300 of the
-mass, with the mass below and above each node.  ``cdf`` adds one Gauss
-rule on the panel holding ``x``; ``quantile`` inverts the table on the side
-of the smaller tail by Newton steps with the density, kept inside the
+on the interval outside which the two tails hold less than 1e-300 of the
+mass, with the signed tail masses -(1 - F) and F at each node.  Every read
+of the table goes through one panel reader (``MeasureSpec._panel_reads``),
+which adds one Gauss rule on the panel holding each point, from a single
+evaluation of the raw density alone.  ``quantile`` inverts the table on the
+side of the smaller tail by Newton steps with the density, kept inside the
 panel's bracket, so tail quantiles keep their relative accuracy down to
-probabilities near 1e-300.
+probabilities near 5e-286, below which the mass the table leaves out
+exceeds 1e-15 of the level; an array of levels is inverted in one batch of
+such steps.
 Quadratures split at the singular points: the origin of the exponential
 and power laws, and the breakpoints of a Gaussian's bump.  The kinks, the
 points where psi'' does not exist, are one list (``MeasureSpec._kinks``):
@@ -33,7 +37,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonDifferentiablePoint
-from .numerics import _WH, _WL, _XH, _XL, _bracketed_newton, _composite_nodes, integrate
+from .numerics import (_WH, _WL, _XH, _XL, _bracketed_newton, _bracketed_newton_batch,
+                       _composite_nodes, integrate)
 
 STRICTLY_LOG_CONCAVE = "strictly_log_concave"
 LOG_CONCAVE = "log_concave"
@@ -42,6 +47,8 @@ UNKNOWN = "unknown"
 _DEFAULT_TAIL = 1e-12
 _FLAG_TOL = 1e-10    # absolute deviation verify_flags still accepts
 _ndtri = NormalDist().inv_cdf
+# elementwise over an array (numpy has no inverse normal CDF), object dtype
+_ndtri_each = np.frompyfunc(_ndtri, 1, 1)
 
 # The CDF table: mass left outside [-b, b] (far below any level a tail
 # quantile is asked for, so it keeps its relative accuracy), Gauss panels per
@@ -50,18 +57,30 @@ _ndtri = NormalDist().inv_cdf
 # tolerance of that adaptive quadrature.
 _TABLE_TAIL = 1e-300
 _TABLE_PANELS = 64
+# the smallest tail level a table quantile answers: below it the mass left
+# outside one end of the table, up to _TABLE_TAIL / 2, exceeds 1e-15 of it
+_LEVEL_FLOOR = 0.5 * _TABLE_TAIL / 1e-15
 _PANEL_PAIR_TOL = 1e-16
 _PANEL_REL_TOL = 1e-14
 
 
 class _CdfTable(NamedTuple):
-    nodes: np.ndarray      # panel ends on [-b, b], singular points among them
-    lower: np.ndarray      # normalized mass below each node
-    upper: np.ndarray      # normalized mass above each node
+    nodes: np.ndarray      # the N panel ends on [-b, b], singular points among them
+    tails: np.ndarray      # -(1 - F) at each node, then F at each node (increasing)
     adaptive: np.ndarray   # panels whose Gauss pair disagreed
     total: float           # tabulated mass of the raw density exp(psi_raw)
     mean: float            # and its mean and variance, by the 21-point rule
     variance: float
+
+
+def _atom(u: np.ndarray) -> np.ndarray:
+    """The atom exp(1 - 1/(1-u^2)) on |u|<1 alone, zero outside."""
+    u = np.asarray(u, dtype=float)
+    inside = np.abs(u) < 1.0
+    val = np.zeros_like(u)
+    ui = u[inside]
+    val[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+    return val
 
 
 def _mollifier(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,7 +154,13 @@ class BumpFunction:
         return val, d1, d2
 
     def __call__(self, x) -> np.ndarray:
-        return self.evaluate(x)[0]
+        """The bump alone at ``x`` (vectorized), without its derivatives."""
+        x = np.asarray(x, dtype=float)
+        val = np.zeros_like(x)
+        for beta, c, w in zip(self.coefficients, self.centers, self.widths):
+            for s in ((0.0,) if c == 0.0 else (c, -c)):
+                val += beta * _atom((x - s) / w)
+        return val
 
     def to_json(self) -> str:
         return json.dumps(
@@ -261,41 +286,55 @@ class MeasureSpec:
 
     # -- log-density and derivatives ----------------------------------
 
-    def _raw_psi(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unnormalized (psi, psi', psi''); no kink checks."""
+    def _raw_log(self, x) -> np.ndarray:
+        """Unnormalized psi alone, without its derivatives: what the CDF
+        table, its reads and the densities need."""
         x = np.asarray(x, dtype=float)
         if self.kind == "logistic":
             ax = np.abs(x)
-            psi = -ax - 2.0 * np.log1p(np.exp(-ax))
-            dpsi = -np.tanh(x / 2.0)
-            e = np.exp(-ax)
-            f = e / (1.0 + e) ** 2
-            ddpsi = -2.0 * f
-            return psi, dpsi, ddpsi
+            return -ax - 2.0 * np.log1p(np.exp(-ax))
         if self.kind == "gaussian":
             s2 = self.sigma ** 2
-            psi = -x * x / (2.0 * s2) - 0.5 * math.log(2.0 * math.pi * s2)
+            return -x * x / (2.0 * s2) - 0.5 * math.log(2.0 * math.pi * s2)
+        if self.kind == "exponential":
+            return -np.abs(x) - math.log(2.0)
+        if self.kind == "power":
+            return -(np.abs(x) ** self.p)
+        if self.kind == "gaussian_bump":
+            return -(x * x / 2.0 + self.eps * self.bump(x))
+        if self.kind == "custom":
+            return -np.asarray(self.potential(x)[0], dtype=float)
+        raise DomainError(f"unknown measure kind {self.kind!r}")
+
+    def _raw_psi(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unnormalized (psi, psi', psi''); no kink checks."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "custom":
+            v, dv, ddv = self.potential(x)
+            return (-np.asarray(v, dtype=float), -np.asarray(dv, dtype=float),
+                    -np.asarray(ddv, dtype=float))
+        if self.kind == "gaussian_bump":
+            # one pass over the atoms for the bump and its derivatives
+            b, b1, b2 = self.bump.evaluate(x)
+            return (-(x * x / 2.0 + self.eps * b), -(x + self.eps * b1),
+                    -(1.0 + self.eps * b2))
+        psi = self._raw_log(x)
+        if self.kind == "logistic":
+            e = np.exp(-np.abs(x))
+            return psi, -np.tanh(x / 2.0), -2.0 * (e / (1.0 + e) ** 2)
+        if self.kind == "gaussian":
+            s2 = self.sigma ** 2
             return psi, -x / s2, np.full_like(x, -1.0 / s2)
         if self.kind == "exponential":
-            psi = -np.abs(x) - math.log(2.0)
             return psi, -np.sign(x), np.zeros_like(x)
         if self.kind == "power":
             p = self.p
             ax = np.abs(x)
-            psi = -(ax ** p)
             dpsi = -p * np.sign(x) * ax ** (p - 1.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ddpsi = np.where(ax > 0, -p * (p - 1.0) * ax ** (p - 2.0),
                                  -2.0 if p == 2.0 else (0.0 if p > 2.0 else np.nan))
             return psi, dpsi, ddpsi
-        if self.kind == "gaussian_bump":
-            b, b1, b2 = self.bump.evaluate(x)
-            psi = -(x * x / 2.0 + self.eps * b)
-            return psi, -(x + self.eps * b1), -(1.0 + self.eps * b2)
-        if self.kind == "custom":
-            v, dv, ddv = self.potential(x)
-            return (-np.asarray(v, dtype=float), -np.asarray(dv, dtype=float),
-                    -np.asarray(ddv, dtype=float))
         raise DomainError(f"unknown measure kind {self.kind!r}")
 
     def _kinks(self) -> tuple[float, ...]:
@@ -325,27 +364,28 @@ class MeasureSpec:
 
     def _raw_density(self, x) -> np.ndarray:
         """Unnormalized density exp(psi_raw), which the CDF table integrates."""
-        return np.exp(self._raw_psi(x)[0])
+        return np.exp(self._raw_log(x))
 
     def density(self, x) -> np.ndarray:
         """Normalized density exp(psi); safe at kinks (value only)."""
-        psi, _, _ = self._raw_psi(x)
-        out = np.exp(psi - self._log_norm)
+        out = np.exp(self._raw_log(x) - self._log_norm)
         return float(out) if np.ndim(x) == 0 else out
 
     # -- cdf / quantile -----------------------------------------------
 
     @cached_property
     def _cdf_table(self) -> _CdfTable:
-        """Panel nodes on the 1e-300 truncation interval and the masses below
-        and above each node, for the kinds without a closed-form CDF.
+        """Panel nodes on the 1e-300 truncation interval and the signed tail
+        masses at each node, -(1 - F) for all nodes followed by F for all
+        nodes, one increasing array that a single search places a level in,
+        for the kinds without a closed-form CDF.
 
         The raw density is evaluated for every panel in one call; the
         21-point sums give the mass, mean and variance.  Panels end at the
         singular points; a panel whose 21/10-point pair still disagrees by
         more than ``_PANEL_PAIR_TOL`` of the mass (a custom potential's
         steep or kinked stretch) is integrated adaptively and remembered, so
-        that ``_panel_mass`` integrates adaptively there too.
+        that ``_panel_reads`` integrates adaptively there too.
         """
         b = self._raw_truncation(_TABLE_TAIL)
         cuts = [-b, *(s for s in self._singular_points() if -b < s < b), b]
@@ -362,26 +402,40 @@ class MeasureSpec:
         total = float(mass.sum())
         mean = float(r @ ((fh * xh) @ _WH)) / total
         variance = float(r @ ((fh * (xh - mean) ** 2) @ _WH)) / total
-        lower = np.concatenate([[0.0], np.cumsum(mass)]) / total
-        upper = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]]) / total
-        return _CdfTable(nodes, lower, upper, adaptive, total, mean, variance)
+        tails = np.concatenate([-np.cumsum(mass[::-1])[::-1], [-0.0, 0.0],
+                                np.cumsum(mass)]) / total
+        return _CdfTable(nodes, tails, adaptive, total, mean, variance)
 
-    def _panel_mass(self, j: int, x: float, upper: bool) -> tuple[float, float]:
-        """(F(x), or 1 - F(x) if ``upper``, and the density at x) for x in
-        table panel j: the table entry at the panel end on that side plus one
-        Gauss rule from there to x, adaptive quadrature on remembered panels."""
+    def _panel_reads(self, i, x):
+        """(signed tail mass, density) at x, a numpy scalar or a 1-D array,
+        with ``i`` of the same shape.
+
+        ``i`` indexes ``tails``: i < N reads 1 - F(x) in panel i, as
+        -(1 - F), and i >= N reads F(x) in panel i - N.  Each is the table
+        entry at the panel end on that side plus one Gauss rule from there
+        to x; the rules' nodes and the points take one raw-density call, and
+        a panel whose pair disagreed is integrated adaptively instead.
+        """
         t = self._cdf_table
-        k = j + 1 if upper else j     # the panel end on that side
-        a = float(t.nodes[k])
-        base = float(t.upper[k] if upper else t.lower[k])
-        if t.adaptive[j]:
-            part = integrate(self._raw_density, min(a, x), max(a, x),
-                             rel_tol=_PANEL_REL_TOL)
-            return base + part / t.total, float(self._raw_density(x)) / t.total
-        c = 0.5 * (a + x)
-        r = 0.5 * abs(x - a)
-        f = self._raw_density(np.append(c + r * _XH, x)) / t.total
-        return base + r * float(f[:-1] @ _WH), float(f[-1])
+        n = len(t.nodes)
+        end = i + (i < n)             # the panel end on the side of the tail
+        a = t.nodes[end % n]
+        half = 0.5 * (x - a)          # signed: the rule runs from a to x
+        pts = np.empty(np.shape(x) + (len(_XH) + 1,))
+        np.multiply(np.abs(half)[..., None], _XH, out=pts[..., :-1])
+        pts[..., :-1] += (0.5 * (a + x))[..., None]
+        pts[..., -1] = x
+        f = self._raw_density(pts.ravel()).reshape(pts.shape) / t.total
+        mass = t.tails[end] + half * np.vecdot(f[..., :-1], _WH)
+        refine = t.adaptive[i % n]
+        if refine.any():
+            mass = np.array(mass)
+            for k in np.flatnonzero(refine):
+                lo, hi = sorted((np.ravel(a)[k], np.ravel(x)[k]))
+                part = integrate(self._raw_density, lo, hi, rel_tol=_PANEL_REL_TOL)
+                mass.flat[k] = (np.ravel(t.tails[end])[k]
+                                + math.copysign(part / t.total, np.ravel(half)[k]))
+        return mass, f[..., -1]
 
     def cdf(self, x: float) -> float:
         if self.kind == "logistic":
@@ -396,36 +450,70 @@ class MeasureSpec:
             return 0.0
         if x >= t.nodes[-1]:
             return 1.0
+        n = len(t.nodes)
         j = int(np.searchsorted(t.nodes, x, side="right")) - 1
-        upper = bool(t.lower[j] >= 0.5)
-        mass = self._panel_mass(j, float(x), upper)[0]
-        return 1.0 - mass if upper else mass
+        upper = bool(t.tails[n + j] >= 0.5)    # read the smaller tail
+        mass = float(self._panel_reads(j if upper else n + j, x)[0])
+        return 1.0 + mass if upper else mass
 
-    def quantile(self, prob: float) -> float:
-        if not 0.0 < prob < 1.0:
+    def quantile(self, prob):
+        """F^-1 at a level in (0, 1), a float, or at every level of an
+        array, an array of its shape.
+
+        Closed forms for the logistic, Gaussian and two-sided exponential.
+        The other kinds invert the CDF table on the side of each level's
+        smaller tail, 1 - prob above 1/2 (exact there): one search of the
+        table's signed tails finds the panel, and Newton steps with the
+        density, kept inside the panel's bracket, start from the linear
+        interpolant of its end masses and stop within 4 ulps of the tail
+        mass.  A float level takes the scalar ``numerics._bracketed_newton``;
+        an array takes the same steps and stops for all its levels at once
+        (``numerics._bracketed_newton_batch``), so that each step reads the
+        table once for the levels still open.  A tail level below 5e-286
+        raises DomainError: the table leaves out up to 5e-301 beyond each
+        end, more than 1e-15 of such a level.
+        """
+        p = np.asarray(prob, dtype=float)
+        if not ((p > 0.0) & (p < 1.0)).all():
             raise DomainError("quantile probability must lie in (0,1)")
         if self.kind == "logistic":
-            return math.log(prob / (1.0 - prob))
-        if self.kind == "gaussian":
-            return self.sigma * _ndtri(prob)
-        if self.kind == "exponential":
-            return math.log(2.0 * prob) if prob <= 0.5 else -math.log(2.0 * (1.0 - prob))
-        # invert the smaller tail's table: 1 - prob is exact for prob > 1/2
+            x = np.log(p / (1.0 - p))
+        elif self.kind == "gaussian":
+            x = self.sigma * np.asarray(_ndtri_each(p), dtype=float)
+        elif self.kind == "exponential":
+            x = np.where(p <= 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
+        else:
+            x = self._table_quantile(p)
+        return float(x) if p.ndim == 0 else x
+
+    def _table_quantile(self, levels: np.ndarray):
+        """``quantile`` from the CDF table: the scalar Newton loop for a
+        0-d array of levels, else the batch over all of them."""
         t = self._cdf_table
-        upper = prob > 0.5
-        target = 1.0 - prob if upper else prob
-        sign = -1.0 if upper else 1.0     # sign * (mass - target) rises with x
-        masses = t.upper if upper else t.lower
-        j = int(np.searchsorted(sign * masses, sign * target, side="right")) - 1
-        lo, hi = t.nodes[j], t.nodes[j + 1]
+        # a 0-d level becomes a numpy scalar, which pays no array overhead
+        p = levels.reshape(-1) if levels.ndim else levels[()]
+        tail = p - (p > 0.5)          # p, or -(1 - p) exactly above 1/2
+        if (abs(tail) < _LEVEL_FLOOR).any():
+            raise DomainError(f"tail levels below {_LEVEL_FLOOR:.0e} lie "
+                              "beyond the reach of the CDF table")
+        i = t.tails.searchsorted(tail, side="right") - 1
+        lo, hi = t.nodes[i % len(t.nodes)], t.nodes[(i + 1) % len(t.nodes)]
+        below, above = t.tails[i], t.tails[i + 1]
+        x = lo + (tail - below) / (above - below) * (hi - lo)
+        tol = 4.0 * np.spacing(abs(tail))
 
-        def residual(x: float) -> tuple[float, float]:
-            mass, fx = self._panel_mass(j, x, upper)
-            return sign * (mass - target), fx
+        def residuals(live, at):
+            # live indexes the levels still open; () takes the 0-d level
+            mass, f = self._panel_reads(i[live], at)
+            return mass - tail[live], f
 
-        x = lo + (target - masses[j]) / (masses[j + 1] - masses[j]) * (hi - lo)
-        root, _ = _bracketed_newton(residual, lo, hi, x, 4.0 * math.ulp(target))
-        return float(root)
+        if levels.ndim:
+            return _bracketed_newton_batch(residuals, lo, hi, x, tol).reshape(levels.shape)
+
+        def residual(at: float) -> tuple[float, float]:
+            val, f = residuals((), at)
+            return float(val), float(f)
+        return _bracketed_newton(residual, lo, hi, x, tol)[0]
 
     def characteristic(self, w) -> np.ndarray | None:
         """Closed-form characteristic function E[exp(i w X)] at ``w``, or

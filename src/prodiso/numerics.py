@@ -147,6 +147,49 @@ def _bracketed_newton(fun, lo: float, hi: float, x: float, tol: float):
     raise NoConvergence(f"Newton iteration did not converge in [{lo!r}, {hi!r}]")
 
 
+def _bracketed_newton_batch(fun, lo: np.ndarray, hi: np.ndarray,
+                            x: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Roots of increasing functions, one in each [lo_i, hi_i], by the
+    steps and stops of ``_bracketed_newton`` taken for all of them at once.
+
+    ``fun(live, x)`` returns the (values, derivatives) at x of the functions
+    numbered by the index array ``live``, those not yet stopped, so each
+    step evaluates them together.  Each root is the one the scalar loop
+    returns from the same lo_i, hi_i, x_i and tol_i; raises NoConvergence
+    when any is still open after 60 evaluations.
+    """
+    lo, hi, x = (np.array(v, dtype=float) for v in (lo, hi, x))
+    root = np.empty_like(x)
+    live = np.arange(x.size)
+    for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            return root
+        val, der = fun(live, x)
+        hit = np.abs(val) <= tol[live]
+        if hit.any():
+            root[live[hit]] = x[hit]
+            going = ~hit
+            live, lo, hi, x, val, der = (v[going] for v in (live, lo, hi, x, val, der))
+            if not live.size:
+                return root
+        rising = val > 0.0
+        hi = np.where(rising, x, hi)
+        lo = np.where(rising, lo, x)
+        nx = x - np.divide(val, der, out=np.full_like(x, math.nan), where=der > 0.0)
+        stepped = np.abs(nx - x) <= 4.0 * np.spacing(np.abs(x))
+        x = np.where((lo < nx) & (nx < hi), nx, 0.5 * (lo + hi))
+        # lo <= hi, so max(|lo|, |hi|) = max(-lo, hi)
+        stop = stepped | (hi - lo <= 4.0 * np.spacing(np.maximum(-lo, hi)))
+        if stop.any():
+            root[live[stop]] = np.where(stepped, nx, x)[stop]
+            going = ~stop
+            live, lo, hi, x = live[going], lo[going], hi[going], x[going]
+    if live.size:
+        raise NoConvergence(f"Newton iteration did not converge for {live.size} "
+                            "of the levels")
+    return root
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on [a, b] with an odd number of nodes.
@@ -242,12 +285,14 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _reach(factors) -> float:
-    """Half-width meant to hold the sum of v X over the (measure, v) factors
-    around its mean: the widest factor's 1e-12 truncation plus seven
-    standard deviations of the sum."""
+def _reach(factors, copies: int = 1) -> float:
+    """Half-width meant to hold the sum of ``copies`` independent copies of
+    the sum of v X over the (measure, v) factors, around its mean: the
+    widest factor's 1e-12 truncation plus seven standard deviations of the
+    copies' sum.  Each factor's truncation and variance are read once, and
+    the variance sum is scaled by ``copies``."""
     return max(abs(v) * m.truncation_interval(1e-12)[1] for m, v in factors) \
-        + 7.0 * math.sqrt(sum(v * v * m.variance for m, v in factors))
+        + 7.0 * math.sqrt(copies * sum(v * v * m.variance for m, v in factors))
 
 
 class _PhaseTable(NamedTuple):
@@ -364,7 +409,7 @@ def _convolve(factors, h: float, copies: int = 1,
     Raises GridTooNarrow unless the density of the copies half a period
     from their mean stays below _WRAP_TOL of its value at the mean.
     """
-    size = _fft_length(2 * math.ceil(_reach(factors * copies) / h) + 1)
+    size = _fft_length(2 * math.ceil(_reach(factors, copies) / h) + 1)
     if point is not None:
         off = abs(point - copies * sum(v * m.mean for m, v in factors))
         if off > 0.5 * size * h:

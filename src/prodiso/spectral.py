@@ -438,7 +438,7 @@ def _gap_single(m, b: float, n: int,
     # the gap is a Rayleigh quotient with w in both forms, so w need not be
     # normalized: the raw density scaled to peak 1 skips the CDF table that
     # normalizes the kinds without a closed-form mass
-    psi = m._raw_psi(grid.nodes())[0]
+    psi = m._raw_log(grid.nodes())
     w = np.exp(psi - np.max(psi))
     # drop only the tails where the density underflows outright, so that
     # b, not the floor, sets the truncation; the solver's equilibrated

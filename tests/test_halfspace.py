@@ -427,7 +427,7 @@ def test_sampled_projection_is_the_discrete_convolution_of_its_factors(v):
 
 
 def test_projection_reach_too_short_is_refused(monkeypatch):
-    monkeypatch.setattr(numerics, "_reach", lambda factors: 1.0)
+    monkeypatch.setattr(numerics, "_reach", lambda factors, copies=1: 1.0)
     with pytest.raises(GridTooNarrow):
         projection_density([GAUSSIAN] * 3, HalfSpace((0.6, -0.48, 0.64), 0.3))
 

@@ -188,7 +188,7 @@ def test_clt_trace_reads_each_sum_once(monkeypatch):
 
 
 def test_clt_half_period_too_short_is_refused(monkeypatch):
-    monkeypatch.setattr(numerics, "_reach", lambda factors: 5.0)
+    monkeypatch.setattr(numerics, "_reach", lambda factors, copies=1: 5.0)
     with pytest.raises(GridTooNarrow):
         clt_upper_bound(LOGISTIC, 0.3, 16)
 
@@ -228,17 +228,20 @@ def test_warm_power_envelope_density_budget(monkeypatch):
     calls = []
 
     def counting(reader):
-        def counted(self, x):
+        def counted(self, *args):
             calls.append(1)
-            return reader(self, x)
+            return reader(self, *args)
         return counted
 
-    # the normalized reader, and the raw one that the CDF table reads
-    for name in ("density", "_raw_density"):
+    # the normalized reader, the raw one that the CDF table reads and the
+    # table's panel reader: one density call for the profile, and one panel
+    # read with one raw-density call per Newton step of the batch (nine in
+    # all here), not a search per level
+    for name in ("density", "_raw_density", "_panel_reads"):
         monkeypatch.setattr(MeasureSpec, name,
                             counting(getattr(MeasureSpec, name)))
     profile_envelope(m, ts)
-    assert len(calls) < 2000
+    assert len(calls) <= 20
 
 
 def test_symmetric_profile_uses_one_quantile(monkeypatch):
@@ -247,13 +250,71 @@ def test_symmetric_profile_uses_one_quantile(monkeypatch):
     levels = []
 
     def recording(self, prob):
-        levels.append(prob)
+        levels.append(np.array(prob))
         return quantile(self, prob)
 
     monkeypatch.setattr(MeasureSpec, "quantile", recording)
-    v = profile_1d(m, 0.2)
-    assert levels == [0.2]
-    assert abs(v - m.density(quantile(m, 0.8))) <= 1e-14 * v
+    ts = np.array([0.2, 0.35, 0.9])
+    v = profile_1d(m, ts)
+    # one call, which asks for each level once
+    assert len(levels) == 1 and np.array_equal(levels[0], ts)
+    for t, val in zip(ts, v):
+        assert abs(val - m.density(quantile(m, 1.0 - t))) <= 1e-14 * val
+    levels.clear()
+    profile_envelope(m, ts)
+    assert len(levels) == 1 and np.array_equal(levels[0], ts)
+
+
+def test_asymmetric_profile_reads_both_half_lines_in_one_call(monkeypatch):
+    def shifted(x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * (x - 1.0) ** 2, x - 1.0, np.ones_like(x)
+
+    m = MeasureSpec.custom(shifted, log_concavity="strictly_log_concave")
+    quantile = MeasureSpec.quantile
+    levels = []
+
+    def recording(self, prob):
+        levels.append(np.array(prob))
+        return quantile(self, prob)
+
+    monkeypatch.setattr(MeasureSpec, "quantile", recording)
+    ts = np.array([0.05, 0.3, 0.8])
+    v = profile_1d(m, ts)
+    assert len(levels) == 1 and np.array_equal(levels[0], [ts, 1.0 - ts])
+    monkeypatch.undo()
+    assert np.array_equal(v, [profile_1d(m, float(t)) for t in ts])
+
+
+@pytest.mark.parametrize("m", [LOGISTIC, GAUSSIAN, MeasureSpec.gaussian(0.7),
+                               MeasureSpec.two_sided_exponential(),
+                               MeasureSpec.power_law(1.5),
+                               MeasureSpec.power_law(3.0)],
+                         ids=lambda m: m.label)
+def test_array_profile_is_the_scalar_one(m):
+    ts = np.concatenate([[0.0, 1.0, 0.5],
+                         np.random.default_rng(3).uniform(0.01, 0.99, 20)])
+    one = profile_1d(m, ts)
+    assert isinstance(one, np.ndarray) and one.shape == ts.shape
+    assert one[0] == 0.0 and one[1] == 0.0
+    scalar = np.array([profile_1d(m, float(t)) for t in ts])
+    assert np.max(np.abs(one - scalar)) <= 1e-15 * np.max(scalar)
+    assert type(profile_1d(m, 0.3)) is float
+    assert profile_1d(m, ts.reshape(1, -1)).shape == (1, len(ts))
+    with pytest.raises(DomainError):
+        profile_1d(m, np.array([0.2, 1.5]))
+    # the envelope's one_dim is the array profile, its upper bound stays
+    # under it and under the Gaussian limit profile
+    pb = profile_envelope(m, ts)
+    assert np.array_equal(pb.one_dim, one)
+    gauss = profile_1d(GAUSSIAN, ts) / math.sqrt(m.variance)
+    assert np.array_equal(pb.upper, np.minimum(one, gauss))
+
+
+@pytest.mark.parametrize("levels", [[[0.2, 0.3]], 0.4, [[0.1], [0.2]]])
+def test_envelope_rejects_levels_that_are_not_1d(levels):
+    with pytest.raises(DomainError):
+        profile_envelope(LOGISTIC, levels)
 
 
 def test_envelope_ordering_and_serialization():

@@ -406,3 +406,76 @@ def test_bumped_gaussian_table_splits_at_breakpoints(monkeypatch):
     for t in levels:
         m.quantile(t)
     assert len(calls) <= 4 * len(levels)
+
+
+def _design_bumped_gaussian():
+    # design_bump()'s first bump at eps = 0.3, as in test_table_moments_match_mpmath
+    return MeasureSpec.gaussian_bump(0.3, BumpFunction(
+        (1.4768170202909112, 2.828140746496974), (1.0, 0.0), (1.0, 1.5)))
+
+
+@pytest.mark.parametrize("m", [
+    MeasureSpec.power_law(1.5), MeasureSpec.power_law(3.0),
+    MeasureSpec.power_law(4.0), MeasureSpec.power_law(7.0),
+    _design_bumped_gaussian(),
+    MeasureSpec.custom(_two_sided_exponential_potential, symmetric=True),
+    MeasureSpec.logistic(), MeasureSpec.gaussian(1.3),
+    MeasureSpec.two_sided_exponential(),
+], ids=lambda m: m.label)
+def test_array_quantiles_are_the_scalar_ones(m):
+    # the batch takes the scalar loop's steps and stops level by level, so
+    # the two agree to the bit, next to the adaptive panels of power(1.5)
+    # and of the custom exponential's kink too
+    rng = np.random.default_rng(29)
+    ts = np.concatenate([rng.uniform(0.01, 0.99, 60), [0.5, 1e-12, 1.0 - 1e-12],
+                         [0.499, 0.5005, 0.505]])
+    xs = m.quantile(ts)
+    assert isinstance(xs, np.ndarray) and xs.shape == ts.shape
+    assert np.array_equal(xs, [m.quantile(float(t)) for t in ts])
+    grid = m.quantile(ts[:12].reshape(3, 4))
+    assert np.array_equal(grid, xs[:12].reshape(3, 4))
+    assert type(m.quantile(0.3)) is float
+    assert m.quantile(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_array_tail_quantiles_match_mpmath(p):
+    # both forms from 0.3 down to 1e-250; the worst, 4.1e-16 at 0.3 for
+    # p = 1.5, is the rounding of the table's masses
+    m = MeasureSpec.power_law(p)
+    ts = np.geomspace(0.3, 1e-250, 12)
+    xs = m.quantile(ts)
+    for t, x in zip(ts, xs):
+        assert x == m.quantile(float(t))
+        assert abs(x / _mp_power_quantile(p, t, x) - 1.0) <= 1e-15
+
+
+def test_custom_gaussian_table_reaches_far_tails_as_an_array():
+    m = MeasureSpec.custom(_gaussian_potential, symmetric=True)
+    ts = np.array([1e-3, 0.3, 1e-20, 1e-100, 1e-250])
+    xs = m.quantile(ts)
+    ref = np.array([MeasureSpec.gaussian(1.7).quantile(float(t)) for t in ts])
+    assert np.max(np.abs(xs / ref - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("t", [1e-299, 1e-300, 1e-305, 1e-320, 4e-286])
+def test_table_quantiles_below_the_table_reach_are_refused(t):
+    # the table leaves out up to 5e-301 of each tail: a Newton search would
+    # answer 1e-300 50% off in mass, and 1e-305 and 1e-320 with the table's
+    # end, -8.81703
+    m = MeasureSpec.power_law(3.0)
+    with pytest.raises(DomainError):
+        m.quantile(t)
+    with pytest.raises(DomainError):
+        m.quantile(np.array([0.3, t, 0.7]))
+
+
+def test_table_quantiles_just_above_the_reach_match_mpmath():
+    # the floor is _TABLE_TAIL / 2 / 1e-15 = 5e-286: above it the mass the
+    # table leaves out is at most 1e-15 of the level
+    m = MeasureSpec.power_law(3.0)
+    ts = np.array([1e-285, 6e-286])
+    for t, x in zip(ts, m.quantile(ts)):
+        assert x == m.quantile(float(t))
+        assert abs(x / _mp_power_quantile(3.0, t, x) - 1.0) <= 1e-15
+        assert abs(m.cdf(x) / t - 1.0) <= 1e-12

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodiso.errors import DomainError
+from prodiso.errors import DomainError, NoConvergence
 from prodiso.halfspace import HalfSpace, boundary_measure
 from prodiso.measures import BumpFunction, MeasureSpec
 from prodiso.numerics import (
     _PHI_FLOOR,
     Grid,
     TabulatedDensity,
+    _bracketed_newton,
+    _bracketed_newton_batch,
     _convolve,
     _fft_length,
     _reach,
@@ -235,3 +237,60 @@ def test_inversion_with_no_term_above_the_floor_is_uniform():
     for x in _READ_AT:
         cdf = 0.5 + (x - n * spectrum.mean) * scale
         assert spectrum.inversion(n)(x) == (cdf, scale)
+
+
+# increasing functions as (value, derivative): a flat derivative at the root,
+# a wrong derivative that sends every step out of the bracket, and no
+# derivative at all (bisection only)
+_RISING = [
+    lambda x, c: (x * x * x - c, 3.0 * x * x),
+    lambda x, c: (np.arctan(x) - c, 1.0 / (1.0 + x * x)),
+    lambda x, c: (np.exp(x) - np.exp(c), 1e-3 * np.exp(x)),
+    lambda x, c: (x - c, 0.0 * x),
+]
+
+
+@pytest.mark.parametrize("k", range(len(_RISING)))
+@pytest.mark.parametrize("tol", [0.0, 1e-12])
+def test_batch_newton_takes_the_scalar_steps(k, tol):
+    # with tol = 0 only a step or the bracket at round-off stops a level
+    rng = np.random.default_rng(k)
+    c = rng.uniform(-1.0, 1.0, 40)
+    lo, hi = c - rng.uniform(0.1, 3.0, 40), c + rng.uniform(0.1, 3.0, 40)
+    x = lo + rng.uniform(0.0, 1.0, 40) * (hi - lo)
+    f = _RISING[k]
+    roots = _bracketed_newton_batch(lambda live, at: f(at, c[live]), lo, hi, x,
+                                    np.full(40, tol))
+    for i in range(40):
+        root, _ = _bracketed_newton(lambda at: tuple(map(float, f(at, c[i]))),
+                                    lo[i], hi[i], x[i], tol)
+        assert roots[i] == root
+
+
+def test_batch_newton_raises_like_the_scalar_loop():
+    # bisection alone cannot close [-1e300, 1e300] in 60 evaluations
+    def flat(x):
+        return x - 0.5, math.nan
+    with pytest.raises(NoConvergence):
+        _bracketed_newton(flat, -1e300, 1e300, 0.0, 0.0)
+    with pytest.raises(NoConvergence):
+        _bracketed_newton_batch(lambda live, x: (x - 0.5, np.full_like(x, math.nan)),
+                                np.array([-1.0, -1e300]), np.array([1.0, 1e300]),
+                                np.zeros(2), np.zeros(2))
+    assert _bracketed_newton_batch(None, *(np.array([]),) * 4).shape == (0,)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 16, 128])
+def test_reach_of_copies_reads_each_factor_once(copies, monkeypatch):
+    factors = [(MeasureSpec.power_law(4.0), 1.0), (MeasureSpec.logistic(), -0.6)]
+    reads = []
+    truncation = MeasureSpec.truncation_interval
+
+    def counted(self, tail_mass=1e-12):
+        reads.append(self.kind)
+        return truncation(self, tail_mass)
+    monkeypatch.setattr(MeasureSpec, "truncation_interval", counted)
+    reach = _reach(factors, copies)
+    assert sorted(reads) == ["logistic", "power"]
+    # the FFT length is the one the list of every copy's factors gives
+    assert math.ceil(reach / 0.01) == math.ceil(_reach(factors * copies) / 0.01)
