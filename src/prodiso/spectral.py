@@ -540,6 +540,20 @@ def _crop_support(nu: np.ndarray, grid: Grid, *arrays,
     return (sub, nu[lo:hi + 1]) + tuple(a[lo:hi + 1] for a in arrays)
 
 
+def _weights(grid: Grid, *weights) -> tuple[np.ndarray, ...]:
+    """The weights as float arrays, each checked before any cropping:
+    DomainError for one whose shape is not (grid.n,) or that holds a
+    non-finite value."""
+    out = tuple(np.asarray(w, dtype=float) for w in weights)
+    for w in out:
+        if w.shape != (grid.n,):
+            raise DomainError(f"weight of shape {w.shape} does not match "
+                              f"the grid of {grid.n} nodes")
+        if not np.isfinite(w).all():
+            raise DomainError("weights must be finite")
+    return out
+
+
 def _check_theta(theta: np.ndarray) -> None:
     if np.any(theta < -1e-12 * np.max(np.abs(theta))):
         raise SignedWeight("weight must be nonnegative on the grid")
@@ -580,8 +594,7 @@ def _condition(nu, theta, grid: Grid, constrained: bool = False,
     """Smallest eigenvalue of the cropped pencil (nu stiffness, theta nu
     mass), mean-constrained or shifted by ``shift`` nu; infinite when
     theta carries no mass against nu."""
-    nu = np.asarray(nu, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    nu, theta = _weights(grid, nu, theta)
     _check_theta(theta)
     if _theta_negligible(theta, nu, grid):
         return EigenResult(math.inf, 0.0, lower_bound=math.inf)
@@ -646,47 +659,78 @@ class TensorOracleResult:
 
 
 _DECOUPLED = 1e-13    # per node: orthogonality and residual of Q, relative
+_CUT_SLACK = 2.0      # mu_cut over min(P1, P2) max theta: the blocks kept
 _ORACLE_BUDGET = 201  # largest n of an n x n product grid
 _ORACLE_NEAR = 0.02   # distance from 1 within which a split verdict is a tie
 
 
-def _decoupled_pencil(x: EigenProblem, y: EigenProblem,
-                      weight: np.ndarray) -> tuple[EigenProblem, np.ndarray]:
+def _decoupled_pencil(x: EigenProblem, y: EigenProblem, weight: np.ndarray,
+                      mu_cut: float
+                      ) -> tuple[EigenProblem, np.ndarray, float]:
     """The product pencil of two 1-D problems on x and y,
 
         A2 = diag(weight) (x) A_x + A_y (x) M_x,   M2 = M_y (x) M_x,
 
     with the constraint c_y (x) c_x, decoupled in x by fast diagonalization
-    (Lynch, Rice and Thomas 1964).  Vectors u are indexed (y, x), x fastest.
+    (Lynch, Rice and Thomas 1964) and cut to the blocks at or below
+    ``mu_cut``.  Vectors u are indexed (y, x), x fastest; ``weight`` must be
+    nonnegative.
 
     With Q, mu the eigenpairs of S = M_x^(-1/2) A_x M_x^(-1/2) and Phi =
     M_x^(-1/2) Q, Phi^T A_x Phi = diag(mu) and Phi^T M_x Phi = I, so the
     congruence I (x) Phi turns A2 - sigma M2 into the n_x tridiagonal blocks
-    mu_k diag(weight) + A_y - sigma M_y, stacked here k by k with zero
-    couplings at the joins; by Sylvester's law of inertia their count is the
-    product pencil's.  That holds while Phi is a congruence: NoConvergence
-    is raised unless Q is orthogonal and S Q = Q diag(mu), each to a
-    relative n_x * 1e-13.  Returns the pencil and Phi; the pencil's vector
-    v is u = (I (x) Phi) v, that is U = (Phi V)^T for V = v.reshape(n_x, -1).
+    mu_k diag(weight) + A_y - sigma M_y; by Sylvester's law of inertia their
+    count is the product pencil's.  Only the K eigenpairs with mu_k <=
+    mu_cut are computed, and only their blocks are stacked, k by k with
+    zero couplings at the joins.  That holds while Phi is a congruence:
+    NoConvergence is raised unless Q is orthogonal and S Q = Q diag(mu),
+    each to a relative n_x * 1e-13, or when no block is kept.
+
+    The dropped blocks leave the product pencil's constrained minimum alone
+    while it lies below ``floor``, the row-sum bound of ``_start_shift`` for
+    the block at mu_cut, and the constraint misses them:
+      - each dropped block lies above the floor, since mu_k > mu_cut,
+        weight >= 0 and the row sums of A_y are >= 0;
+      - their part of Q^T M_x^(-1/2) c_x is at most |S r| / mu_cut for
+        r = M_x^(-1/2) c_x, as q_k^T r = q_k^T S r / mu_k.  For the mean
+        constraint c_x = M_x 1, S r = M_x^(-1/2) A_x 1 is rounding;
+        NoConvergence is raised unless |S r| / mu_cut is at most
+        n_x * 1e-13 |r|, |r| being |c_x| in M_x^(-1).
+    The floor is inf when nothing is dropped.  Returns the pencil, Phi
+    (n_x by K) and the floor; the pencil's vector v is u = (I (x) Phi) v,
+    that is U = (Phi V)^T for V = v.reshape(K, -1).
     """
     s = 1.0 / np.sqrt(x.mass_diag)
     d, e = x.diag * s * s, x.off * s[:-1] * s[1:]
-    mu, q = eigh_tridiagonal(d, e)
-    n = len(mu)
+    mu, q = eigh_tridiagonal(d, e, select="v",
+                             select_range=(-math.inf, mu_cut))
+    n, kept = len(d), len(mu)
+    if kept == 0:
+        raise NoConvergence(f"no block of the product pencil is at or "
+                            f"below mu_cut = {mu_cut:g}")
     tol = _DECOUPLED * n
-    orthogonality = np.max(np.abs(q.T @ q - np.eye(n)))
+    orthogonality = np.max(np.abs(q.T @ q - np.eye(kept)))
     residual = np.max(np.abs(_tridiagonal_apply(d, e, q.T)
                              - mu[:, None] * q.T))
     # |S| <= max|d| + 2 max|e| by Gershgorin
     if orthogonality > tol or residual > tol * (np.max(np.abs(d))
                                                 + 2.0 * np.max(np.abs(e))):
         raise NoConvergence("the x factor's eigenvectors are not a congruence")
+    floor = math.inf
+    if kept < n:
+        r = s * x.constraint
+        leak = float(np.linalg.norm(
+            s * _tridiagonal_apply(x.diag, x.off, x.constraint / x.mass_diag)))
+        if not leak <= tol * mu_cut * float(np.linalg.norm(r)):
+            raise NoConvergence("the constraint meets the dropped blocks")
+        floor = _start_shift(EigenProblem(None, mu_cut * weight + y.diag,
+                                          y.off, y.mass_diag))
     phi = s[:, None] * q
     pencil = EigenProblem(
         None, (mu[:, None] * weight + y.diag).ravel(),
-        np.tile(np.r_[y.off, 0.0], n)[:-1], np.tile(y.mass_diag, n),
+        np.tile(np.r_[y.off, 0.0], kept)[:-1], np.tile(y.mass_diag, kept),
         np.outer(phi.T @ x.constraint, y.constraint).ravel())
-    return pencil, phi
+    return pencil, phi, floor
 
 
 def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
@@ -698,7 +742,18 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
     "infimum >= 1" matches (P1 and P2).  The reported lambda_2d and its
     ``residual`` are those of the eigenvector on the assembled 2-D operator.
     Near-threshold instances (within 0.02 of 1 on either side) count as
-    inconclusive agreement.  Grids above n = 201 raise OutOfBudget.
+    inconclusive agreement.  Grids above n = 201 raise OutOfBudget; a
+    weight whose shape is not (grid.n,) or that holds a non-finite value
+    raises DomainError.
+
+    Only the blocks that can hold the minimum are solved: those of the tau
+    eigenvalues mu_k <= mu_cut = 2 min(P1, P2) max theta.  P1 and P2 are
+    Rayleigh quotients of admissible 2-D trial vectors, so they bound
+    lambda_2d from above, and every dropped block lies above the row-sum
+    floor of the block at mu_cut, which is mu_cut / max theta = 2 min(P1,
+    P2) up to rounding (see ``_decoupled_pencil``).  The count of the cut
+    pencil is the whole product pencil's only below that floor, so
+    NoConvergence is raised unless lambda_2d lies below it.
 
     The 2-D solve starts at the smaller of the lower ends of P1's and P2's
     certified brackets: on the grid, blocks 0 and 1 of the decoupled pencil
@@ -711,9 +766,7 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
     """
     if grid.n > _ORACLE_BUDGET:
         raise OutOfBudget(f"product grid {grid.n}x{grid.n} exceeds budget")
-    nu = np.asarray(nu, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    nu, tau, theta = _weights(grid, nu, tau, theta)
     _check_theta(theta)
     grid, nu, tau, theta = _crop_support(nu, grid, tau, theta)
     grid, tau, nu, theta = _crop_support(tau, grid, nu, theta)
@@ -729,16 +782,19 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
 
     prob_nu = assemble(nu, theta * nu, grid, constraint_weight=nu)
     nu_w, tau_w = prob_nu.constraint, prob_tau.mass_diag
-    pencil, phi = _decoupled_pencil(prob_tau, prob_nu, nu_w)
+    pencil, phi, floor = _decoupled_pencil(
+        prob_tau, prob_nu, nu_w,
+        _CUT_SLACK * min(p1.value, p2.value) * float(np.max(theta)))
     # start from the sum of the coordinates, which has parts along both
     # separable candidates, the P1 mode v(y) and the P2 mode v(y) phi_1(x);
-    # (I (x) Phi)^-1 = I (x) Phi^T M_x
+    # (I (x) Phi)^-1 = I (x) Phi^T M_x takes x_y + x_x to
+    # (Phi^T M_x x)_k + (Phi^T M_x 1)_k x_y
     x = grid.nodes()
-    v0 = (phi.T * tau_w) @ np.add.outer(x, x).T
+    v0 = (phi.T @ (tau_w * x))[:, None] + np.outer(phi.T @ tau_w, x)
     # just below lambda_2D = min(P1, P2); the 2-D count still decides
     v = _shift_invert(pencil, v0.ravel(),
                       start=min(p1.lower_bound, p2.lower_bound)
-                      ).eigenvector.reshape(grid.n, grid.n)
+                      ).eigenvector.reshape(phi.shape[1], grid.n)
 
     # the Rayleigh quotient and residual on the assembled operator, with
     # A2 and M2 applied along each axis
@@ -749,6 +805,10 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
           + _tridiagonal_apply(prob_nu.diag, prob_nu.off, u.T).T * tau_w)
     mass_u = np.outer(prob_nu.mass_diag, tau_w) * u
     lam2d = float(np.sum(u * au) / np.sum(u * mass_u))
+    if not lam2d < floor:
+        raise NoConvergence(
+            f"lambda_2D = {lam2d:g} is not below the floor {floor:g} of the "
+            f"blocks the cut dropped")
     residual = _residual(au.ravel(), lam2d, mass_u.ravel(), c2.ravel())
 
     values = (p1.value, p2.value)

@@ -213,6 +213,19 @@ def test_tensor_oracle(capsys):
     assert "disagreements=0" in out
 
 
+@pytest.mark.parametrize("grid_n, code, error", [
+    ("3", 0, None), ("201", 0, None),
+    ("4", 1, "DomainError"), ("1", 1, "DomainError"),
+    ("203", 1, "OutOfBudget"),
+])
+def test_tensor_oracle_grid_n_range(capsys, grid_n, code, error):
+    # as the README states: odd and within 3..201
+    got, _, err = run(capsys, "tensor-oracle", "--count", "1", "--grid-n",
+                      grid_n)
+    assert got == code
+    assert (error in err) if error else not err
+
+
 def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])

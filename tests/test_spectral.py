@@ -964,6 +964,49 @@ def test_signed_weight_rejected():
         check_P1(nu, theta, grid)
 
 
+def _malformed_weights(name, how):
+    # one weight of a fixed instance two nodes short or long, or with one
+    # non-finite node inside the support
+    nu, tau, theta, grid = random_oracle_instance(np.random.default_rng(3), 51)
+    weights = {"nu": nu, "tau": tau, "theta": theta}
+    w = weights[name]
+    if how == "short":
+        w = w[:-2]
+    elif how == "long":
+        w = np.r_[w, w[-2:]]
+    else:
+        w = w.copy()
+        w[grid.n // 2] = float(how)
+    weights[name] = w
+    return weights, grid
+
+
+_WEIGHT_CALLS = {
+    "oracle": lambda w, grid: tensor_oracle_2d(w["nu"], w["tau"], w["theta"],
+                                               grid),
+    "P1": lambda w, grid: check_P1(w["nu"], w["theta"], grid),
+    "P2": lambda w, grid: check_P2(w["nu"], w["theta"], 0.5, grid),
+}
+
+
+# before the shared check, the oracle cropped mis-sized arrays and returned
+# a value, P1 raised numpy's broadcast error on them, a NaN in nu raised
+# IndexError from the crop, an inf in theta passed P1 as inf, and a NaN in
+# theta failed the oracle's start-shift count
+@pytest.mark.parametrize("call, name, how", [
+    ("oracle", "theta", "short"), ("oracle", "theta", "long"),
+    ("oracle", "tau", "short"), ("oracle", "tau", "long"),
+    ("P1", "theta", "short"), ("P1", "theta", "long"),
+    ("P1", "nu", "nan"), ("oracle", "nu", "nan"),
+    ("P1", "theta", "inf"), ("oracle", "theta", "nan"),
+    ("P2", "nu", "short"), ("P2", "theta", "-inf"),
+])
+def test_malformed_weights_are_refused(call, name, how):
+    weights, grid = _malformed_weights(name, how)
+    with pytest.raises(DomainError, match="weight"):
+        _WEIGHT_CALLS[call](weights, grid)
+
+
 def test_brascamp_lieb_values():
     # Gaussian, u = x^2: Var = 2 and int u'^2 / V'' = 4, residual 2
     m = MeasureSpec.gaussian(1.0)
@@ -987,13 +1030,15 @@ def test_brascamp_lieb_requires_convexity():
         brascamp_lieb_residual(m, lambda x: np.asarray(x))
 
 
-def _product_pencil(nu, tau, theta, grid):
-    # the oracle's decoupled pencil with its assembled 2-D counterpart, as
-    # a dense reference: A2, the diagonal of M2, c2 and the start vector
+def _product_pencil(nu, tau, theta, grid, mu_cut=math.inf):
+    # the oracle's decoupled pencil, cut at mu_cut (by default whole), and
+    # the floor of the blocks it drops, with the whole assembled 2-D
+    # counterpart as a dense reference: A2, the diagonal of M2, c2 and the
+    # start vector
     x = grid.nodes()
     px = assemble(tau, tau, grid, constraint_weight=tau)
     py = assemble(nu, theta * nu, grid, constraint_weight=nu)
-    pencil, phi = _decoupled_pencil(px, py, py.constraint)
+    pencil, phi, floor = _decoupled_pencil(px, py, py.constraint, mu_cut)
 
     def tri(p):
         return sp.diags([p.off, p.diag, p.off], [-1, 0, 1])
@@ -1002,8 +1047,9 @@ def _product_pencil(nu, tau, theta, grid):
           + sp.kron(tri(py), sp.diags(px.mass_diag))).toarray()
     mass2 = np.outer(py.mass_diag, px.mass_diag).ravel()
     c2 = np.outer(py.constraint, px.constraint).ravel()
-    v0 = (phi.T * px.mass_diag) @ np.add.outer(x, x).T
-    return pencil, a2, mass2, c2, v0.ravel()
+    v0 = (phi.T @ (px.mass_diag * x))[:, None] + np.outer(
+        phi.T @ px.mass_diag, x)
+    return pencil, floor, a2, mass2, c2, v0.ravel()
 
 
 def _scaled(a2, mass2):
@@ -1030,7 +1076,8 @@ def _small_product_pencil():
 
 
 def test_product_pencil_is_certified(monkeypatch):
-    pencil, a2, mass2, c2, v0 = _small_product_pencil()
+    pencil, floor, a2, mass2, c2, v0 = _small_product_pencil()
+    assert floor == math.inf
     res = _shift_invert(pencil, v0)
     lam = res.value
     assert res.lower_bound <= lam <= res.lower_bound + 1e-9 * lam
@@ -1079,6 +1126,22 @@ def _two_d_solves():
         yield solves
 
 
+@contextlib.contextmanager
+def _cuts():
+    """The (mu_cut, blocks kept, floor) of each decoupled pencil the oracle
+    builds."""
+    cuts = []
+    decoupled = spectral._decoupled_pencil
+
+    def recorded(x, y, weight, mu_cut):
+        pencil, phi, floor = decoupled(x, y, weight, mu_cut)
+        cuts.append((mu_cut, phi.shape[1], floor))
+        return pencil, phi, floor
+
+    with mock.patch.object(spectral, "_decoupled_pencil", recorded):
+        yield cuts
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        n=st.sampled_from(range(5, 26, 2)))
@@ -1096,11 +1159,64 @@ def test_random_product_pencils(seed, n):
     # dense reference
     grid, nu, tau, theta = _crop_support(nu, grid, tau, theta)
     grid, tau, nu, theta = _crop_support(tau, grid, nu, theta)
-    pencil, a2, mass2, c2, v0 = _product_pencil(nu, tau, theta, grid)
+    pencil, _, a2, mass2, c2, v0 = _product_pencil(nu, tau, theta, grid)
     res = _shift_invert(pencil, v0)
     ref = _constrained_reference(a2, mass2, c2)
     assert res.lower_bound <= ref * (1 + 1e-9)
     assert res.value >= ref * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cut_pencil_brackets_the_whole_product_pencil(seed):
+    # the oracle solves only the blocks at or below mu_cut; its value and
+    # bracket must still contain the whole assembled pencil's minimum
+    nu, tau, theta, grid = random_oracle_instance(np.random.default_rng(seed),
+                                                  25)
+    with _two_d_solves() as solves, _cuts() as cuts:
+        r = tensor_oracle_2d(nu, tau, theta, grid)
+    [(mu_cut, kept, floor)] = cuts
+    [res] = solves
+    grid, nu, tau, theta = _crop_support(nu, grid, tau, theta)
+    grid, tau, nu, theta = _crop_support(tau, grid, nu, theta)
+    assert kept < grid.n
+    _, _, a2, mass2, c2, _ = _product_pencil(nu, tau, theta, grid)
+    ref = _constrained_reference(a2, mass2, c2)
+    assert res.lower_bound <= ref * (1 + 1e-12)
+    assert r.lambda_2d >= ref * (1 - 1e-12)
+    assert res.value >= ref * (1 - 1e-12)
+    assert r.lambda_2d < floor
+    # every dropped block lies above the floor: mu_k W + A_y on M_y, whole
+    px = assemble(tau, tau, grid, constraint_weight=tau)
+    py = assemble(nu, theta * nu, grid, constraint_weight=nu)
+    s = 1.0 / np.sqrt(px.mass_diag)
+    mu = scipy.linalg.eigvalsh_tridiagonal(px.diag * s * s,
+                                           px.off * s[:-1] * s[1:])
+    assert np.count_nonzero(mu <= mu_cut) == kept
+    dropped = mu[kept:]
+    ay = np.diag(py.diag) + np.diag(py.off, 1) + np.diag(py.off, -1)
+    sy = 1.0 / np.sqrt(py.mass_diag)
+    for m in dropped:
+        block = sy[:, None] * (m * np.diag(py.constraint) + ay) * sy
+        assert scipy.linalg.eigvalsh(block)[0] >= floor
+
+
+def test_cut_below_lambda_2d_is_refused(monkeypatch):
+    # a P1 reported at 0.1x its value puts mu_cut, and the floor of the
+    # dropped blocks, at 0.2 P1, below lambda_2D = P1: the cut pencil's
+    # count no longer speaks for the whole one, and the oracle must say so
+    # instead of returning a higher mode
+    inst = _random_instance(900, 37, 101)
+    ref = tensor_oracle_2d(*inst)
+    assert ref.p1.value < ref.p2.value
+    check = spectral.check_P1
+
+    def too_low(nu, theta, grid):
+        res = check(nu, theta, grid)
+        return dataclasses.replace(res, value=0.1 * res.value)
+
+    monkeypatch.setattr(spectral, "check_P1", too_low)
+    with pytest.raises(NoConvergence, match="floor"):
+        tensor_oracle_2d(*inst)
 
 
 def _logistic_bisector_instance():
@@ -1117,21 +1233,29 @@ def _random_instance(gen_seed, draw, n):
     return inst
 
 
-@pytest.mark.parametrize("instance, holds", [
-    pytest.param(_logistic_bisector_instance, False, id="logistic-bisector"),
+@pytest.mark.parametrize("instance, holds, most_blocks", [
+    # the logistic tau has a gap of 1/4, so more of its modes lie below the
+    # cut
+    pytest.param(_logistic_bisector_instance, False, 10,
+                 id="logistic-bisector"),
     # P1 and P2 within 0.95-3.4% of each other, and near ties 0.02%, 1.2%
     # and 0.8% apart
-    *(pytest.param(functools.partial(_random_instance, *k), holds,
+    *(pytest.param(functools.partial(_random_instance, *k), holds, 4,
                    id="-".join(map(str, k)))
       for k, holds in (((7, 12, 201), True), ((5, 8, 151), False),
                        ((903, 47, 201), True), ((904, 36, 151), True),
                        ((900, 97, 101), True), ((900, 37, 101), False),
                        ((901, 61, 151), False))),
 ])
-def test_tensor_oracle_matches_1d_conditions(instance, holds):
-    with _two_d_solves() as solves:
+def test_tensor_oracle_matches_1d_conditions(instance, holds, most_blocks):
+    with _two_d_solves() as solves, _cuts() as cuts:
         r = tensor_oracle_2d(*instance())
     assert [res.factorizations for res in solves] == [1]
+    # the cut keeps a few of the 87-173 blocks, and every dropped one lies
+    # above lambda_2D
+    [(_, kept, floor)] = cuts
+    assert kept <= most_blocks
+    assert floor > r.lambda_2d
     # every value lies outside the 0.02 band around 1 where a split verdict
     # is a tie, so the two verdicts agree outright
     assert r.agrees and not r.inconclusive
@@ -1154,7 +1278,8 @@ def test_near_tie_takes_one_factorization():
 
 def test_oracle_falls_back_from_a_wrong_bracket(monkeypatch):
     # the start only saves work: with P1's bracket 1.5x too high the start
-    # lies above lambda_2D, fails the 2-D count, and the cold solve runs
+    # lies above lambda_2D, fails the 2-D count, and the cold solve of the
+    # cut pencil runs
     inst = _random_instance(900, 37, 101)
     ref = tensor_oracle_2d(*inst)
     assert ref.p1.value < ref.p2.value
@@ -1180,10 +1305,13 @@ def test_oracle_falls_back_from_a_wrong_bracket(monkeypatch):
     start = min(1.5 * ref.p1.lower_bound, ref.p2.lower_bound)
     first, *rest = shifts
     assert first == (start, False)
-    # the rest is the cold solve of the same pencil, shift for shift
+    # the rest is the cold solve of the same cut pencil, shift for shift;
+    # the bracket moved, P1's value did not, and with it the cut
     grid, nu, tau, theta = _crop_support(inst[0], inst[3], inst[1], inst[2])
     grid, tau, nu, theta = _crop_support(tau, grid, nu, theta)
-    pencil, *_, v0 = _product_pencil(nu, tau, theta, grid)
+    mu_cut = (spectral._CUT_SLACK * min(ref.p1.value, ref.p2.value)
+              * float(np.max(theta)))
+    pencil, *_, v0 = _product_pencil(nu, tau, theta, grid, mu_cut)
     shifts.clear()
     cold = _shift_invert(pencil, v0)
     assert rest == shifts
