@@ -226,8 +226,8 @@ class MeasureSpec:
 
     @staticmethod
     def gaussian(sigma: float = 1.0) -> "MeasureSpec":
-        if sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not 0 < sigma < math.inf:
+            raise DomainError(f"sigma must be positive and finite, got {sigma}")
         return MeasureSpec(kind="gaussian", sigma=float(sigma),
                            log_concavity=STRICTLY_LOG_CONCAVE,
                            label=f"gaussian(sigma={sigma:g})")
@@ -239,14 +239,17 @@ class MeasureSpec:
 
     @staticmethod
     def power_law(p: float) -> "MeasureSpec":
-        if p <= 1:
-            raise DomainError("power-law exponent must exceed 1")
+        if not 1 < p < math.inf:
+            raise DomainError(
+                f"power-law exponent must exceed 1 and be finite, got {p}")
         return MeasureSpec(kind="power", p=float(p),
                            log_concavity=STRICTLY_LOG_CONCAVE if p >= 2 else LOG_CONCAVE,
                            label=f"power(p={p:g})")
 
     @staticmethod
     def gaussian_bump(eps: float, bump: BumpFunction) -> "MeasureSpec":
+        if not math.isfinite(eps):
+            raise DomainError(f"bump amplitude eps must be finite, got {eps}")
         return MeasureSpec(kind="gaussian_bump", eps=float(eps), bump=bump,
                            log_concavity=UNKNOWN if eps else STRICTLY_LOG_CONCAVE,
                            label=f"gaussian_bump(eps={eps:g})")

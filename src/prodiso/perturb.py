@@ -10,27 +10,45 @@ bump whose slopes satisfy k_dot > 0 and lambda_dot > a_dot pushes the
 two-equal-component half-space strictly inside the stability region for
 small eps, which finite differences of the eigenvalue curves confirm; the
 curves use ``halfspace.boundary_density``, as the stability verdicts do.
+The curves at eps = 0 are solved once per process, and every solve at
+eps != 0 starts just below them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisViolated, InfeasibleBasis, NonEvenBump
+from .errors import (
+    DomainError,
+    HypothesisViolated,
+    InfeasibleBasis,
+    NonEvenBump,
+)
 from .halfspace import boundary_density
 from .measures import BumpFunction, MeasureSpec
 from .numerics import _WH, _XH, Grid, _composite_nodes
-from .spectral import assemble, check_P1, solve_smallest, spectral_gap
+from .spectral import (
+    _crop_support,
+    _shift_invert,
+    assemble,
+    solve_smallest,
+    spectral_gap,
+)
 
 # Gauss panels per interval between bump breakpoints: the atoms are not
 # analytic at their ends, and 16 panels leave 1e-14 relative errors there
 _SLOPE_PANELS = 32
 _CURVE_NODES = 4001         # the eigenvalue curves' grid on the bisector
 _CURVE_HALF_WIDTH = 16.0
+# each +-eps solve of k and a starts this many |eps| times the eps = 0
+# solve's lower bound below that bound
+_START_MARGIN = 3.0
+_MIN_EPS = 1e-6             # smallest nonzero |eps| a central difference takes
 _FEASIBILITY_SLACK = 1e-3
 # (k_dot, lambda_dot - a_dot) targets; deliberately small because the
 # eigenvalue curves bend concavely in eps and large slopes come with large
@@ -149,28 +167,61 @@ def _combine(basis: list[BumpFunction], coeffs) -> BumpFunction:
     return BumpFunction(tuple(cs), tuple(centers), tuple(widths))
 
 
-def eigen_curves(bump: BumpFunction, eps: float) -> tuple[float, float, float]:
-    """(lambda(eps), k(eps), a(eps)) by direct eigenvalue computation.
-
-    lambda is the perturbed measure's spectral gap; k and a come from its
-    boundary density on the bisector {x1 = x2}.  Raises HypothesisViolated
-    where the perturbed potential is not convex.
-    """
-    measure = MeasureSpec.gaussian_bump(eps, bump) if eps else \
-        MeasureSpec.gaussian(1.0)
+def _curve_pencils(measure: MeasureSpec):
+    """The measure's spectral gap, and the pencils of k and a from its
+    boundary density on the bisector {x1 = x2}, both on the window where
+    that density is numerically meaningful."""
     lam = spectral_gap(measure)
-
     grid = Grid.symmetric_grid(_CURVE_HALF_WIDTH, _CURVE_NODES)
     nu, theta = boundary_density(measure, -1, 0.0, grid)
     if np.any(theta <= 0.0):
         raise HypothesisViolated(
             "perturbed potential loses convexity at this eps")
-    k_val = check_P1(nu, theta, grid).value
+    grid, nu, theta = _crop_support(nu, grid, theta)
+    # k is the zero-mean condition's constant, as ``check_P1`` assembles it;
+    # a = - min Rayleigh of (stiffness - Theta-mass) against plain mass
+    return lam, (assemble(nu, theta * nu, grid, constraint_weight=nu),
+                 assemble(nu, nu, grid, shift=-1.0,
+                          shift_mass_weight=theta * nu))
 
-    # a(eps) = - min Rayleigh of (stiffness - Theta-mass) against plain mass
-    prob = assemble(nu, nu, grid, shift=-1.0, shift_mass_weight=theta * nu)
-    a_val = -solve_smallest(prob).value
-    return float(lam), float(k_val), float(a_val)
+
+@functools.cache
+def _unperturbed() -> tuple[tuple[float, float, float], tuple[float, float]]:
+    """(lambda, k, a) at eps = 0, and the lower ends of the k and a solves'
+    certified brackets: they depend on neither the bump nor eps, so each
+    process solves them once."""
+    lam, pencils = _curve_pencils(MeasureSpec.gaussian(1.0))
+    k, a = (solve_smallest(p) for p in pencils)
+    return ((float(lam), float(k.value), float(-a.value)),
+            (k.lower_bound, a.lower_bound))
+
+
+def eigen_curves(bump: BumpFunction, eps: float) -> tuple[float, float, float]:
+    """(lambda(eps), k(eps), a(eps)) by direct eigenvalue computation.
+
+    lambda is the perturbed measure's spectral gap; k and a come from its
+    boundary density on the bisector {x1 = x2}.  The curves at eps = 0 are
+    solved once per process and returned for any bump.  Each solve of k
+    and a at eps != 0 starts its shift-invert iteration 3 |eps| times the
+    size of the eps = 0 solve's lower bound below that bound, which leaves
+    it little to do; the value is certified by its own inertia count all
+    the same, and a start that fails the count costs one factorization
+    before the solve runs as from a cold start.  Raises HypothesisViolated
+    where the perturbed potential is not convex.
+    """
+    if not eps:
+        return _unperturbed()[0]
+    lam, (k_prob, a_prob) = _curve_pencils(
+        MeasureSpec.gaussian_bump(eps, bump))
+    k_low, a_low = _unperturbed()[1]
+    # the start vectors are solve_smallest's: the coordinate with the
+    # constraint, else the constant
+    x = k_prob.grid.nodes()
+    k = _shift_invert(k_prob, x,
+                      k_low - _START_MARGIN * abs(eps * k_low))
+    a = _shift_invert(a_prob, np.ones_like(x),
+                      a_low - _START_MARGIN * abs(eps * a_low))
+    return float(lam), float(k.value), float(-a.value)
 
 
 def finite_diff_validate(bump: BumpFunction,
@@ -183,8 +234,20 @@ def finite_diff_validate(bump: BumpFunction,
     central difference errs by C e^2 + O(e^4), so with r = e2 / e1 the
     combination (r^2 d1 - d2) / (r^2 - 1) cancels the e^2 term for any
     ratio.  Also checks the unperturbed baselines
-    lambda(0) = k(0) = a(0) = 1.
+    lambda(0) = k(0) = a(0) = 1.  Every curve comes from ``eigen_curves``:
+    eps = 0 is solved once per process, and each +-eps solve starts just
+    below it and is certified by its own inertia count.
+
+    Raises DomainError for a non-finite eps, or one with 0 < |eps| < 1e-6.
+    The curves carry rounding of about 1e-13, which the central difference
+    divides by 2 |eps|: for ``design_bump()[0]``, k_dot keeps its 8.5e-5
+    mesh error down to |eps| = 1e-6, but a_dot, 1e-8 off there, is 7e-7
+    off at 1e-7 and 2.8e-6 at 1e-8, and at 1e-300 all three slopes are 0.
     """
+    for e in eps_list:
+        if not (e == 0.0 or _MIN_EPS <= abs(e) < math.inf):
+            raise DomainError(
+                f"eps must be 0 or finite with |eps| >= {_MIN_EPS:g}, got {e}")
     _require_even(bump)
     slopes = perturbation_slopes(bump)
     mags = sorted({abs(e) for e in eps_list if e != 0.0})[:2]

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
-# bound only for bench/tracer.py to wrap, until ROADMAP item 7 retires both
+# bound only for bench/tracer.py to wrap, until ROADMAP item 9 retires both
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import (
@@ -771,16 +771,18 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
     grid, nu, tau, theta = _crop_support(nu, grid, tau, theta)
     grid, tau, nu, theta = _crop_support(tau, grid, nu, theta)
 
-    # 1-D side: lambda_tau on the same grid for consistency
+    # 1-D side: lambda_tau and P1 on the grid of the 2-D pencil, whose
+    # factors their pencils are; P1's is assembled once, here
     prob_tau = assemble(tau, tau, grid, constraint_weight=tau)
     lambda_tau = solve_smallest(prob_tau).value
-    p1 = check_P1(nu, theta, grid)
     p2 = check_P2(nu, theta, lambda_tau, grid)
 
     if _theta_negligible(theta, nu, grid):
-        return TensorOracleResult(math.inf, True, p1, p2, lambda_tau, True)
+        # check_P1 and check_P2 both give the infinite result here
+        return TensorOracleResult(math.inf, True, p2, p2, lambda_tau, True)
 
     prob_nu = assemble(nu, theta * nu, grid, constraint_weight=nu)
+    p1 = solve_smallest(prob_nu)
     nu_w, tau_w = prob_nu.constraint, prob_tau.mass_diag
     pencil, phi, floor = _decoupled_pencil(
         prob_tau, prob_nu, nu_w,

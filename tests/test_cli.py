@@ -325,6 +325,19 @@ def test_bad_input_and_unwritable_out_exit_1(argv, message, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["perturb-validate", "--eps", "nan"],
+    ["perturb-validate", "--eps", "1e-9", "0.01"],
+    ["spectral-gap", "--measure", '{"kind": "gaussian", "sigma": Infinity}'],
+])
+def test_non_finite_or_unresolvable_parameters_exit_1(argv, capsys):
+    # a NaN eps used to surface as an IndexError traceback from the crop
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: DomainError: ") and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_parser_defaults_are_the_library_defaults():
     parser = build_parser()
     for argv in (["spectral-gap"], ["envelope"],

@@ -131,6 +131,35 @@ def test_from_descriptor():
         MeasureSpec.from_descriptor("nope")
 
 
+_BUMP = BumpFunction((0.5,), (1.0,), (0.8,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MeasureSpec.gaussian(math.nan),
+    lambda: MeasureSpec.gaussian(math.inf),
+    lambda: MeasureSpec.power_law(math.inf),
+    lambda: MeasureSpec.power_law(math.nan),
+    lambda: MeasureSpec.gaussian_bump(math.inf, _BUMP),
+    lambda: MeasureSpec.gaussian_bump(-math.inf, _BUMP),
+    lambda: MeasureSpec.gaussian_bump(math.nan, _BUMP),
+], ids=["gaussian-nan", "gaussian-inf", "power-inf", "power-nan",
+        "bump-inf", "bump-minus-inf", "bump-nan"])
+def test_non_finite_parameters_are_refused(build):
+    # without the check these failed later: an empty grid interval, an
+    # IndexError in the support crop, a math domain error
+    with pytest.raises(DomainError, match="finite"):
+        build()
+
+
+def test_from_descriptor_refuses_non_finite_parameters():
+    for desc in ('{"kind": "gaussian", "sigma": NaN}',
+                 '{"kind": "power", "p": Infinity}',
+                 {"kind": "gaussian_bump", "eps": math.nan,
+                  "bump": json.loads(_BUMP.to_json())}):
+        with pytest.raises(DomainError, match="finite"):
+            MeasureSpec.from_descriptor(desc)
+
+
 def test_from_descriptor_gaussian_bump():
     text = json.dumps({"kind": "gaussian_bump", "eps": 0.3,
                        "bump": {"coefficients": [0.5, -0.2],

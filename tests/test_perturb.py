@@ -8,15 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodiso import perturb
-from prodiso.errors import HypothesisViolated, NonEvenBump
-from prodiso.measures import BumpFunction
+from prodiso.errors import DomainError, HypothesisViolated, NonEvenBump
+from prodiso.measures import BumpFunction, MeasureSpec
 from prodiso.numerics import integrate
 from prodiso.perturb import (
+    default_basis,
     design_bump,
     eigen_curves,
     finite_diff_validate,
     perturbation_slopes,
 )
+from prodiso.spectral import solve_smallest
 
 
 def test_zero_bump_slopes():
@@ -165,3 +167,111 @@ def test_report_serialization():
     assert d["feasible"] is True
     assert abs(d["slopes"]["k_dot"] - report.slopes[1]) < 1e-15
     assert d["bump"]["centers"] == list(bump.centers)
+
+
+@pytest.mark.parametrize("eps", [1e-300, -1e-7, 9.9e-7, math.nan, math.inf])
+def test_finite_diff_refuses_eps_it_cannot_resolve(eps):
+    # at 1e-300 the curves do not move and all three slopes came out 0
+    bump, _ = design_bump()
+    with pytest.raises(DomainError, match="eps"):
+        finite_diff_validate(bump, (eps, 0.01))
+
+
+def test_finite_diff_takes_the_smallest_resolvable_eps():
+    bump, _ = design_bump()
+    report = finite_diff_validate(bump, (1e-6,))
+    for fd, an in zip(report.fd_slopes, report.slopes):
+        assert abs(fd - an) <= 1e-4 * abs(an)
+
+
+def _cold_curves(bump, eps):
+    """eigen_curves' k and a pencils at eps, each solved from the row-sum
+    bound, with the gap."""
+    measure = MeasureSpec.gaussian_bump(eps, bump) if eps else \
+        MeasureSpec.gaussian(1.0)
+    lam, pencils = perturb._curve_pencils(measure)
+    return lam, pencils, [solve_smallest(p) for p in pencils]
+
+
+def _recorded(monkeypatch):
+    """The results of eigen_curves' started solves, as they are made."""
+    results = []
+    solve = perturb._shift_invert
+
+    def recorded(problem, y, start):
+        results.append(solve(problem, y, start))
+        return results[-1]
+
+    monkeypatch.setattr(perturb, "_shift_invert", recorded)
+    return results
+
+
+def test_unperturbed_curves_are_the_cold_solve_for_any_bump():
+    lam, _, (k, a) = _cold_curves(None, 0.0)
+    want = (lam, k.value, -a.value)
+    for bump in [BumpFunction((), (), ()), design_bump()[0], *default_basis()]:
+        assert eigen_curves(bump, 0.0) == want
+    assert perturb._unperturbed()[1] == (k.lower_bound, a.lower_bound)
+
+
+@pytest.mark.parametrize("bump", [design_bump()[0], *default_basis()],
+                         ids=["designed", "atom0", "atom1"])
+def test_started_curves_match_the_cold_solve(bump):
+    for eps in (0.01, -0.03):
+        lam, _, (k, a) = _cold_curves(bump, eps)
+        got = eigen_curves(bump, eps)
+        assert got[0] == lam
+        for v, want in zip(got[1:], (k.value, -a.value)):
+            assert abs(v - want) <= 1e-11 * abs(want)
+
+
+def test_default_ladders_start_below_and_keep_their_brackets(monkeypatch):
+    # a cold start took 6 solves and 4 factorizations on k, 4-6 and 2-4 on a
+    results = _recorded(monkeypatch)
+    bump, _ = design_bump()
+    finite_diff_validate(bump, (0.01, 0.02))
+    finite_diff_validate(bump, (0.01, 0.03))
+    assert len(results) == 16
+    for res in results:
+        assert res.solves <= 5 and res.factorizations == 2
+        assert res.lower_bound <= res.value \
+            <= res.lower_bound + 1e-8 * abs(res.value)
+        assert res.residual < 1e-9
+
+
+def test_unperturbed_curves_are_solved_once_per_process(monkeypatch):
+    cold = []
+    solve = perturb.solve_smallest
+
+    def counted(problem):
+        cold.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(perturb, "solve_smallest", counted)
+    started = _recorded(monkeypatch)
+    perturb._unperturbed.cache_clear()
+    bump, _ = design_bump()
+    first = finite_diff_validate(bump, (0.01, 0.02))
+    second = finite_diff_validate(bump, (0.01, 0.02))
+    assert len(cold) == 2           # k and a at eps = 0, in the first call
+    assert len(started) == 16       # k and a at each of the 2 x 4 eps != 0
+    assert first == second
+
+
+def test_a_start_above_the_eigenvalue_falls_back_to_the_cold_solve(
+        monkeypatch):
+    # lower bounds far above k and a put both starts above their
+    # eigenvalues: each fails its count, which costs one factorization, and
+    # the solve then runs from the row-sum bound as solve_smallest's does
+    curves, _ = perturb._unperturbed()
+    monkeypatch.setattr(perturb, "_unperturbed",
+                        lambda: (curves, (10.0, 10.0)))
+    results = _recorded(monkeypatch)
+    bump, _ = design_bump()
+    eigen_curves(bump, 0.02)
+    _, _, cold = _cold_curves(bump, 0.02)
+    for got, want in zip(results, cold, strict=True):
+        assert got.factorizations == want.factorizations + 1
+        assert np.array_equal(got.eigenvector, want.eigenvector)
+        assert (got.value, got.residual, got.lower_bound, got.solves) == \
+            (want.value, want.residual, want.lower_bound, want.solves)

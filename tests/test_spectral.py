@@ -1200,6 +1200,22 @@ def test_cut_pencil_brackets_the_whole_product_pencil(seed):
         assert scipy.linalg.eigvalsh(block)[0] >= floor
 
 
+def _misreport_p1(monkeypatch, name: str, factor: float) -> None:
+    """Scale one field of the oracle's P1 result: P1's pencil is the only
+    one the oracle hands to solve_smallest with a constraint that is not
+    its mass, as lambda_tau's is."""
+    solve = spectral.solve_smallest
+
+    def misreported(problem):
+        res = solve(problem)
+        if problem.constraint is None \
+                or np.array_equal(problem.constraint, problem.mass_diag):
+            return res
+        return dataclasses.replace(res, **{name: factor * getattr(res, name)})
+
+    monkeypatch.setattr(spectral, "solve_smallest", misreported)
+
+
 def test_cut_below_lambda_2d_is_refused(monkeypatch):
     # a P1 reported at 0.1x its value puts mu_cut, and the floor of the
     # dropped blocks, at 0.2 P1, below lambda_2D = P1: the cut pencil's
@@ -1208,13 +1224,7 @@ def test_cut_below_lambda_2d_is_refused(monkeypatch):
     inst = _random_instance(900, 37, 101)
     ref = tensor_oracle_2d(*inst)
     assert ref.p1.value < ref.p2.value
-    check = spectral.check_P1
-
-    def too_low(nu, theta, grid):
-        res = check(nu, theta, grid)
-        return dataclasses.replace(res, value=0.1 * res.value)
-
-    monkeypatch.setattr(spectral, "check_P1", too_low)
+    _misreport_p1(monkeypatch, "value", 0.1)
     with pytest.raises(NoConvergence, match="floor"):
         tensor_oracle_2d(*inst)
 
@@ -1283,12 +1293,6 @@ def test_oracle_falls_back_from_a_wrong_bracket(monkeypatch):
     inst = _random_instance(900, 37, 101)
     ref = tensor_oracle_2d(*inst)
     assert ref.p1.value < ref.p2.value
-    check = spectral.check_P1
-
-    def too_high(nu, theta, grid):
-        res = check(nu, theta, grid)
-        return dataclasses.replace(res, lower_bound=1.5 * res.lower_bound)
-
     factor = spectral.EigenProblem._factor
     shifts = []
 
@@ -1298,7 +1302,7 @@ def test_oracle_falls_back_from_a_wrong_bracket(monkeypatch):
             shifts.append((sigma, factored is not None))
         return factored
 
-    monkeypatch.setattr(spectral, "check_P1", too_high)
+    _misreport_p1(monkeypatch, "lower_bound", 1.5)
     monkeypatch.setattr(spectral.EigenProblem, "_factor", counted)
     r = tensor_oracle_2d(*inst)
     assert abs(r.lambda_2d - ref.lambda_2d) <= 1e-13 * ref.lambda_2d
