@@ -293,7 +293,9 @@ def boundary_density(m: MeasureSpec, alpha: float, tau: float,
     s = y / math.sqrt(2.0)
     m._require_differentiable(s)
     psi, _, ddpsi = m._raw_psi(s)
-    log_nu = psi + m._raw_log(tau - alpha * s)
+    # on the bisector (alpha = -1, tau = 0) the second factor is f(s) itself
+    log_nu = psi + (psi if alpha == -1 and tau == 0.0
+                    else m._raw_log(tau - alpha * s))
     nu = np.exp(log_nu - np.max(log_nu))
     return nu, -ddpsi
 

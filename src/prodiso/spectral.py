@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgeqrf, dgttrf, dgttrs, dpttrf, dpttrs
 # bound only for bench/tracer.py to wrap, until ROADMAP item 9 retires both
 from scipy.sparse.linalg import splu  # noqa: F401
 
@@ -94,9 +94,10 @@ class EigenProblem:
         A, with D A D as (diag, off) and D M D as its diagonal: D (A - sigma
         M) D has entries of order one however graded the weights are, so
         the factors keep the tail pivots."""
+        big = np.abs(self.diag)
         abs_off = np.abs(self.off)
-        big = np.maximum(np.abs(self.diag),
-                         np.maximum(np.r_[abs_off, 0], np.r_[0, abs_off]))
+        np.maximum(big[:-1], abs_off, out=big[:-1])
+        np.maximum(big[1:], abs_off, out=big[1:])
         if not np.all(big > 0):
             raise DomainError("stiffness matrix has a zero row")
         dsc = 1.0 / np.sqrt(big)
@@ -273,8 +274,17 @@ def _start_shift(problem: EigenProblem) -> float:
     if np.any(s[~pos] < 0):
         raise DomainError("stiffness is negative where the mass vanishes")
     beta = float(np.min(s[pos] / mass[pos]))
-    return beta - _START_GAP * (abs(beta)
-                                + float(np.median(diag[pos] / mass[pos])))
+    return beta - _START_GAP * (abs(beta) + _median(diag[pos] / mass[pos]))
+
+
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-D array, bit for bit, by partition:
+    the middle entry, or the mean of the two middle ones."""
+    half = len(a) // 2
+    if len(a) % 2:
+        return float(np.partition(a, half)[half])
+    lo, hi = np.partition(a, (half - 1, half))[half - 1:half + 1]
+    return float(lo + hi) / 2.0
 
 
 def _tridiagonal_apply(diag: np.ndarray, off: np.ndarray,
@@ -582,10 +592,12 @@ def check_P2(nu, theta, lambda_tau: float, grid: Grid) -> EigenResult:
 
     Computes inf ( lambda_tau int v^2 dnu + int v'^2 dnu ) / int v^2 theta
     dnu over all v; holds iff the infimum is >= 1.  Returns the certified
-    solver's result, whose ``value`` is the infimum.
+    solver's result, whose ``value`` is the infimum.  A ``lambda_tau``
+    outside [0, inf), NaN included, raises DomainError.
     """
-    if lambda_tau < 0:
-        raise DomainError("lambda_tau must be nonnegative")
+    if not 0.0 <= lambda_tau < math.inf:
+        raise DomainError(f"lambda_tau must be nonnegative and finite, "
+                          f"got {lambda_tau}")
     return _condition(nu, theta, grid, shift=lambda_tau)
 
 
@@ -733,6 +745,35 @@ def _decoupled_pencil(x: EigenProblem, y: EigenProblem, weight: np.ndarray,
     return pencil, phi, floor
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b rounded and its rounding error, exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _stiffness_gram(problem: EigenProblem, a: np.ndarray) -> np.ndarray:
+    """a A a^T for the rows of a, as the edge sums -off (da)^2 plus the row
+    sums r = A 1 as sum r a^2: neither cancels, whereas a (A a^T) loses
+    about eps |A| / lambda.  Assembly makes r rounding, not zero, so it is
+    summed exactly, by two TwoSums; dropping it moves the quotient by as
+    much as the cancellation would."""
+    off, zero = problem.off, np.zeros(1)
+    s, e = _two_sum(problem.diag, np.concatenate((off, zero)))
+    s, e2 = _two_sum(s, np.concatenate((zero, off)))
+    d = np.diff(a)
+    return (d * -off) @ d.T + (a * (s + (e + e2))) @ a.T
+
+
+def _low_rank_norm(p: np.ndarray, q: np.ndarray) -> float:
+    """|P^T Q|_F for row factors p and q, as |P^T R^T|_F for R the
+    triangular factor of a thin QR of Q^T (LAPACK dgeqrf): P^T R^T has the
+    shape of P^T, not of the n x n P^T Q, and its entries cancel no more than
+    those of P^T Q would."""
+    qr = dgeqrf(q.T)[0]
+    return float(np.linalg.norm(p.T @ np.triu(qr[:len(q)]).T))
+
+
 def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
     """Product-grid falsification oracle for the two 1-D conditions.
 
@@ -740,7 +781,9 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
     product-mean-zero u on the (tau x nu) grid, by the certified solver on
     the 2-D pencil decoupled in the tau factor, and checks that the verdict
     "infimum >= 1" matches (P1 and P2).  The reported lambda_2d and its
-    ``residual`` are those of the eigenvector on the assembled 2-D operator.
+    ``residual`` are those of the eigenvector on the assembled 2-D operator,
+    read from its rank-(K + 1) factors u = L R^T, K the blocks kept (below):
+    the n x n eigenvector is formed only for the witness of a disagreement.
     Near-threshold instances (within 0.02 of 1 on either side) count as
     inconclusive agreement.  Grids above n = 201 raise OutOfBudget; a
     weight whose shape is not (grid.n,) or that holds a non-finite value
@@ -771,16 +814,17 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
     grid, nu, tau, theta = _crop_support(nu, grid, tau, theta)
     grid, tau, nu, theta = _crop_support(tau, grid, nu, theta)
 
-    # 1-D side: lambda_tau and P1 on the grid of the 2-D pencil, whose
-    # factors their pencils are; P1's is assembled once, here
+    # 1-D side: lambda_tau, P1 and P2 on the grid of the 2-D pencil, whose
+    # factors their pencils are; each is assembled once, here, on the arrays
+    # cropped above
     prob_tau = assemble(tau, tau, grid, constraint_weight=tau)
     lambda_tau = solve_smallest(prob_tau).value
-    p2 = check_P2(nu, theta, lambda_tau, grid)
-
     if _theta_negligible(theta, nu, grid):
-        # check_P1 and check_P2 both give the infinite result here
-        return TensorOracleResult(math.inf, True, p2, p2, lambda_tau, True)
-
+        # the infinite result of check_P1 and check_P2 here
+        inf = EigenResult(math.inf, 0.0, lower_bound=math.inf)
+        return TensorOracleResult(math.inf, True, inf, inf, lambda_tau, True)
+    p2 = solve_smallest(assemble(nu, theta * nu, grid, shift=lambda_tau,
+                                 shift_mass_weight=nu))
     prob_nu = assemble(nu, theta * nu, grid, constraint_weight=nu)
     p1 = solve_smallest(prob_nu)
     nu_w, tau_w = prob_nu.constraint, prob_tau.mass_diag
@@ -798,31 +842,46 @@ def tensor_oracle_2d(nu, tau, theta, grid: Grid) -> TensorOracleResult:
                       start=min(p1.lower_bound, p2.lower_bound)
                       ).eigenvector.reshape(phi.shape[1], grid.n)
 
-    # the Rayleigh quotient and residual on the assembled operator, with
-    # A2 and M2 applied along each axis
-    u = (phi @ v).T
-    c2 = np.outer(nu_w, tau_w)
-    u -= c2 * (np.sum(c2 * u) / np.sum(c2 * c2))
-    au = (nu_w[:, None] * _tridiagonal_apply(prob_tau.diag, prob_tau.off, u)
-          + _tridiagonal_apply(prob_nu.diag, prob_nu.off, u.T).T * tau_w)
-    mass_u = np.outer(prob_nu.mass_diag, tau_w) * u
-    lam2d = float(np.sum(u * au) / np.sum(u * mass_u))
+    # with its part along c2 = nu_w tau_w^T removed, the eigenvector is
+    # u = L R^T for L = [V^T, -gamma nu_w] and R = [Phi, tau_w], of rank
+    # K + 1; the assembled A2 and M2 act on the factors, rows here, so the
+    # quotient and residual take (K + 1)-square contractions, and u is
+    # formed only for a witness
+    c2_norm = float(nu_w @ nu_w) * float(tau_w @ tau_w)
+    gamma = float((v @ nu_w) @ (phi.T @ tau_w)) / c2_norm
+    lt, rt = np.vstack([v, -gamma * nu_w]), np.vstack([phi.T, tau_w])
+    nu_lt, mass_lt, mass_rt = lt * nu_w, lt * prob_nu.mass_diag, rt * tau_w
+    r_mass = mass_rt @ rt.T
+    lam2d = float((np.sum((nu_lt @ lt.T) * _stiffness_gram(prob_tau, rt))
+                   + np.sum(_stiffness_gram(prob_nu, lt) * r_mass))
+                  / np.sum((mass_lt @ lt.T) * r_mass))
     if not lam2d < floor:
         raise NoConvergence(
             f"lambda_2D = {lam2d:g} is not below the floor {floor:g} of the "
             f"blocks the cut dropped")
-    residual = _residual(au.ravel(), lam2d, mass_u.ravel(), c2.ravel())
+    # A2 u - lambda M2 u = P Q^T, less its part along c2, as in _residual
+    p = np.vstack([nu_lt, _tridiagonal_apply(prob_nu.diag, prob_nu.off, lt)
+                   - lam2d * mass_lt])
+    q = np.vstack([_tridiagonal_apply(prob_tau.diag, prob_tau.off, rt),
+                   mass_rt])
+    delta = float((p @ nu_w) @ (q @ tau_w)) / c2_norm
+    residual = (_low_rank_norm(np.vstack([p, -delta * nu_w]),
+                               np.vstack([q, tau_w]))
+                / _low_rank_norm(mass_lt, mass_rt))
 
     values = (p1.value, p2.value)
     verdict_2d = lam2d >= 1.0
     verdict_1d = _verdict(values, DEFAULT_SOLVER_MARGIN) != UNSTABLE
     near = any(abs(v - 1.0) <= _ORACLE_NEAR for v in (lam2d, *values))
     agrees = verdict_2d == verdict_1d or near
+    witness = None
+    if not agrees:
+        u = lt.T @ rt
+        witness = u / np.max(np.abs(u))
     return TensorOracleResult(
         lam2d, bool(agrees), p1, p2, lambda_tau,
         inconclusive=bool(near and verdict_2d != verdict_1d),
-        witness=None if agrees else u / np.max(np.abs(u)),
-        residual=residual)
+        witness=witness, residual=residual)
 
 
 def random_oracle_instance(rng: np.random.Generator,

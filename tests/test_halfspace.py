@@ -624,3 +624,21 @@ def test_boundary_density_of_bumped_gaussian():
     assert np.array_equal(theta, 1.0 + eps * b2)
     ref = np.exp(-(s * s + 2.0 * eps * b))
     assert np.max(np.abs(nu / nu.max() - ref / ref.max())) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [LOGISTIC, GAUSSIAN, MeasureSpec.power_law(1.5),
+                               POWER4,
+                               MeasureSpec.gaussian_bump(0.3, design_bump()[0]),
+                               MeasureSpec.gaussian_bump(-0.3,
+                                                         design_bump()[0])],
+                         ids=lambda m: m.label)
+def test_bisector_density_reuses_psi(m):
+    # on the bisector the second factor f(tau - alpha s) is f(s): reusing
+    # psi must give nu and theta bit for bit as evaluating it twice does
+    grid = Grid(-12.0, 11.0, 401)    # no node at the kink 0
+    s = grid.nodes() / math.sqrt(2.0)
+    psi, _, ddpsi = m._raw_psi(s)
+    log_nu = psi + m._raw_log(0.0 - (-1) * s)
+    nu, theta = boundary_density(m, -1, 0.0, grid)
+    assert np.array_equal(nu, np.exp(log_nu - np.max(log_nu)))
+    assert np.array_equal(theta, -ddpsi)
